@@ -6,27 +6,23 @@ candidate edge set that leaves some pool member dominating cannot have raised
 the domination number, so the vast majority of candidates are rejected by a
 couple of integer operations; survivors are confirmed with the exact solver,
 which keeps the search exhaustive and exact regardless of pool quality.
+
+The pool grows lazily, as in the implicit hitting set loop of Chandrasekaran,
+Karp, Moreno-Centeno and Vempala (SODA 2011): it starts from one minimum
+dominating set, and each cover the solver finds for a refuted candidate joins
+it.  Removing edges only shrinks neighbourhoods, so a dominating set of G - B
+of size <= gamma(G) is a minimum dominating set of G as well.
 """
 
 from __future__ import annotations
 
-import random
 import time
 from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable, Sequence
 
-from .domination import (
-    DEFAULT_ENUMERATION_CAP,
-    _cover_within,
-    _exact_gamma,
-    _random_min_cover,
-    enumerate_min_dominating_sets,
-)
-from .graphs import Edge, Graph, ProductIndexing, mask_of, normalize_edge
-
-POOL_LIMIT = 64
-_POOL_RESTART_FACTOR = 8
+from .domination import _cover_within, _exact_gamma
+from .graphs import Edge, Graph, ProductIndexing, normalize_edge
 
 
 class TimeBudgetExceeded(RuntimeError):
@@ -60,7 +56,16 @@ def is_bondage_set(graph: Graph, edges: Iterable[tuple[int, int]]) -> bool:
     for u, v in removed:
         closed[u] &= ~(1 << v)
         closed[v] &= ~(1 << u)
-    return not _cover_within(closed, graph.full_mask, gamma)
+    return _cover_within(closed, graph.full_mask, gamma) is None
+
+
+def _deadline(budget_seconds: float | None) -> float | None:
+    """Monotonic-clock deadline for a wall budget in seconds; None is unlimited."""
+    if budget_seconds is None:
+        return None
+    if not budget_seconds > 0:
+        raise ValueError(f"budget must be positive, got {budget_seconds}")
+    return time.monotonic() + budget_seconds
 
 
 class _DominatingPool:
@@ -72,47 +77,33 @@ class _DominatingPool:
     candidate that removes at most ``d`` of them.
     """
 
-    __slots__ = ("masks", "touch", "targets", "counts", "front")
+    __slots__ = ("graph", "edges", "touch", "targets", "counts", "front")
 
-    def __init__(self, graph: Graph, edges: Sequence[Edge], members: Sequence[int]):
-        self.masks = list(members)
+    def __init__(self, graph: Graph, edges: Sequence[Edge]):
+        self.graph = graph
+        self.edges = edges
         self.touch: list[int] = []
         self.targets: list[dict[int, int]] = []
         self.counts: list[list[int]] = []
         self.front = 0
-        for dmask in self.masks:
-            touch = 0
-            targets: dict[int, int] = {}
-            for e_index, (u, v) in enumerate(edges):
-                u_in = dmask >> u & 1
-                v_in = dmask >> v & 1
-                if u_in != v_in:
-                    touch |= 1 << e_index
-                    targets[e_index] = v if u_in else u
-            counts = [0] * graph.order
-            for w in range(graph.order):
-                if not dmask >> w & 1:
-                    counts[w] = (graph.rows[w] & dmask).bit_count()
-            self.touch.append(touch)
-            self.targets.append(targets)
-            self.counts.append(counts)
 
-    @classmethod
-    def build(
-        cls,
-        graph: Graph,
-        gamma: int,
-        edges: Sequence[Edge],
-        *,
-        cap: int = DEFAULT_ENUMERATION_CAP,
-        seed: int = 0,
-        limit: int = POOL_LIMIT,
-    ) -> "_DominatingPool":
-        if graph.order <= cap:
-            members = [mask_of(s) for s in enumerate_min_dominating_sets(graph, cap=cap)]
-        else:
-            members = _restart_pool(graph, gamma, limit=limit, seed=seed)
-        return cls(graph, edges, members)
+    def add(self, dmask: int) -> None:
+        touch = 0
+        targets: dict[int, int] = {}
+        for e_index, (u, v) in enumerate(self.edges):
+            u_in = dmask >> u & 1
+            v_in = dmask >> v & 1
+            if u_in != v_in:
+                touch |= 1 << e_index
+                targets[e_index] = v if u_in else u
+        graph = self.graph
+        counts = [0] * graph.order
+        for w in range(graph.order):
+            if not dmask >> w & 1:
+                counts[w] = (graph.rows[w] & dmask).bit_count()
+        self.touch.append(touch)
+        self.targets.append(targets)
+        self.counts.append(counts)
 
     def some_member_survives(self, zmask: int, zedges: tuple[int, ...]) -> bool:
         touch = self.touch
@@ -142,50 +133,24 @@ class _DominatingPool:
         return False
 
 
-def _restart_pool(
-    graph: Graph, gamma: int, *, limit: int, seed: int, restarts: int | None = None
-) -> list[int]:
-    rng = random.Random(seed)
-    closed = graph.closed_rows()
-    full = graph.full_mask
-    found: list[int] = []
-    seen: set[int] = set()
-    if restarts is None:
-        restarts = _POOL_RESTART_FACTOR * limit
-    for _ in range(restarts):
-        mask = _random_min_cover(closed, full, gamma, rng)
-        if mask is not None and mask not in seen:
-            seen.add(mask)
-            found.append(mask)
-            if len(found) >= limit:
-                break
-    return found
-
-
-def _find_bondage_set(
-    graph: Graph,
-    max_size: int,
-    *,
-    gamma: int | None = None,
-    pool: _DominatingPool | None = None,
-    cap: int = DEFAULT_ENUMERATION_CAP,
-    seed: int = 0,
-    deadline: float | None = None,
+def find_bondage_set_up_to(
+    graph: Graph, max_size: int, *, budget_seconds: float | None = None
 ) -> tuple[Edge, ...] | None:
-    """Lexicographically first edge set of size <= max_size that raises gamma.
+    """Smallest (then lexicographically least) bondage set of size <= max_size,
+    or None once every candidate subset has been refuted.
 
     Exhaustive over all edge subsets of each size, smallest size first; the
     pool only filters, the exact solver has the final word on survivors.
     """
+    deadline = _deadline(budget_seconds)
     edges = graph.edges()
     if max_size <= 0 or not edges:
         return None
     closed = graph.closed_rows()
     full = graph.full_mask
-    if gamma is None:
-        gamma = _exact_gamma(closed, full)
-    if pool is None:
-        pool = _DominatingPool.build(graph, gamma, edges, cap=cap, seed=seed)
+    gamma = _exact_gamma(closed, full)
+    pool = _DominatingPool(graph, edges)
+    pool.add(_cover_within(closed, full, gamma))
     n_edges = len(edges)
     bit = [1 << e for e in range(n_edges)]
     touch = pool.touch
@@ -208,54 +173,23 @@ def _find_bondage_set(
             if survives(zmask, combo):
                 front_touch = touch[pool.front]
                 continue
-            # no cached set survives; ask the exact solver
+            # no pooled set survives; ask the exact solver
             damaged = closed.copy()
             for e in combo:
                 u, v = edges[e]
                 damaged[u] &= ~(1 << v)
                 damaged[v] &= ~(1 << u)
-            if _cover_within(damaged, full, gamma):
-                continue
-            return tuple(edges[e] for e in combo)
+            cover = _cover_within(damaged, full, gamma)
+            if cover is None:
+                return tuple(edges[e] for e in combo)
+            pool.add(cover)
     return None
-
-
-def find_bondage_set_up_to(
-    graph: Graph,
-    max_size: int,
-    *,
-    cap: int = DEFAULT_ENUMERATION_CAP,
-    seed: int = 0,
-    budget_seconds: float | None = None,
-) -> tuple[Edge, ...] | None:
-    """Smallest (then lexicographically least) bondage set of size <= max_size,
-    or None once every candidate subset has been refuted."""
-    deadline = time.monotonic() + budget_seconds if budget_seconds else None
-    return _find_bondage_set(graph, max_size, cap=cap, seed=seed, deadline=deadline)
-
-
-def exhaustive_no_bondage_up_to(
-    graph: Graph,
-    k: int,
-    *,
-    cap: int = DEFAULT_ENUMERATION_CAP,
-    seed: int = 0,
-    budget_seconds: float | None = None,
-) -> bool:
-    """True iff no edge subset of size <= k raises the domination number."""
-    if k < 0:
-        raise ValueError("subset size bound must be non-negative")
-    return find_bondage_set_up_to(
-        graph, k, cap=cap, seed=seed, budget_seconds=budget_seconds
-    ) is None
 
 
 def bondage_number(
     graph: Graph,
     *,
     max_size: int | None = None,
-    cap: int = DEFAULT_ENUMERATION_CAP,
-    seed: int = 0,
     budget_seconds: float | None = None,
 ) -> BondageResult:
     """Exact bondage number with a minimum witness.
@@ -268,9 +202,7 @@ def bondage_number(
     if not edges:
         raise ValueError("an edgeless graph has no bondage set")
     limit = len(edges) if max_size is None else min(max_size, len(edges))
-    witness = find_bondage_set_up_to(
-        graph, limit, cap=cap, seed=seed, budget_seconds=budget_seconds
-    )
+    witness = find_bondage_set_up_to(graph, limit, budget_seconds=budget_seconds)
     if witness is None:
         raise ValueError(f"no bondage set of size <= {limit} exists")
     return BondageResult(len(witness), witness)

@@ -49,6 +49,13 @@ def _branch_tuple(text: str) -> tuple[int, ...]:
         raise argparse.ArgumentTypeError(f"bad branch list {text!r}") from None
 
 
+def _positive_seconds(text: str) -> float:
+    value = float(text)
+    if not value > 0:
+        raise argparse.ArgumentTypeError(f"budget must be positive, got {text!r}")
+    return value
+
+
 def _add_instance_flags(parser: argparse.ArgumentParser, ranged: bool) -> None:
     parser.add_argument(
         "--family", choices=("km-pn", "km-starlike", "path", "complete", "file")
@@ -70,8 +77,9 @@ def _add_instance_flags(parser: argparse.ArgumentParser, ranged: bool) -> None:
 
 def _add_search_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--max-size", type=int, help="bondage search size cap")
-    parser.add_argument("--budget-seconds", type=int, help="per-instance wall budget")
-    parser.add_argument("--seed", type=int, default=0, help="seed for randomised pools")
+    parser.add_argument(
+        "--budget-seconds", type=_positive_seconds, help="per-instance wall budget"
+    )
     parser.add_argument("--json", action="store_true", help="emit JSON")
     parser.add_argument(
         "--full-search",
@@ -140,10 +148,7 @@ def _cmd_bondage(args) -> int:
     spec = _single_instance(args)
     built = build_instance(spec)
     result = bondage_number(
-        built.graph,
-        max_size=args.max_size,
-        seed=args.seed,
-        budget_seconds=args.budget_seconds,
+        built.graph, max_size=args.max_size, budget_seconds=args.budget_seconds
     )
     if args.json:
         print(
@@ -172,14 +177,13 @@ def _cmd_verify(args) -> int:
             full_search=args.full_search,
             budget_seconds=args.budget_seconds,
             max_size=args.max_size,
-            seed=args.seed,
         )
         for q in quantities
     ]
     total = (time.monotonic() - start) * 1000.0
     report = build_report(
         entries,
-        {"quantity": args.quantity, "full_search": args.full_search, "seed": args.seed},
+        {"quantity": args.quantity, "full_search": args.full_search},
         total,
     )
     return _emit(report, args.json)
@@ -194,15 +198,12 @@ def _cmd_sweep(args) -> int:
         full_search=args.full_search,
         budget_seconds=args.budget_seconds,
         max_size=args.max_size,
-        seed=args.seed,
     )
     return _emit(report, args.json)
 
 
 def _cmd_mds_check(args) -> int:
-    import time as _time
-
-    start = _time.monotonic()
+    start = time.monotonic()
     entries = []
     for m in args.m:
         for n in args.n:

@@ -8,7 +8,6 @@ refusing loudly beats hanging.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable, Sequence
@@ -75,8 +74,8 @@ def _exact_gamma(closed: Sequence[int], full: int) -> int:
     """Branch and bound on the least-coverable uncovered vertex.
 
     Any dominating set must contain a closed neighbour of every uncovered
-    vertex, so branching over N[v] is complete; the greedy cover seeds the
-    incumbent.
+    vertex, so branching over N[v] is complete; the greedy cover gives the
+    first incumbent.
     """
     best = _greedy_cover_size(closed, full)
 
@@ -96,29 +95,13 @@ def _exact_gamma(closed: Sequence[int], full: int) -> int:
     return best
 
 
-def _cover_within(closed: Sequence[int], full: int, limit: int) -> bool:
-    """Does a dominating set of size <= limit exist?"""
+def _cover_within(closed: Sequence[int], full: int, limit: int) -> int | None:
+    """Mask of a dominating set of size <= limit, or None if there is none.
+
+    The mask can be 0 (the empty graph), so callers test ``is None``.
+    """
     if limit >= len(closed):
-        return True
-
-    def rec(covered: int, remaining: int) -> bool:
-        if covered == full:
-            return True
-        if remaining == 0:
-            return False
-        v = _pick_uncovered(closed, full & ~covered)
-        for u in iter_bits(closed[v]):
-            if rec(covered | closed[u], remaining - 1):
-                return True
-        return False
-
-    return rec(0, max(limit, 0))
-
-
-def _random_min_cover(
-    closed: Sequence[int], full: int, size: int, rng: random.Random
-) -> int | None:
-    """A dominating-set mask of exactly ``size``, found with randomised branching."""
+        return full
 
     def rec(covered: int, chosen: int, remaining: int) -> int | None:
         if covered == full:
@@ -126,15 +109,13 @@ def _random_min_cover(
         if remaining == 0:
             return None
         v = _pick_uncovered(closed, full & ~covered)
-        cands = list(iter_bits(closed[v]))
-        rng.shuffle(cands)
-        for u in cands:
-            got = rec(covered | closed[u], chosen | (1 << u), remaining - 1)
+        for u in iter_bits(closed[v]):
+            got = rec(covered | closed[u], chosen | 1 << u, remaining - 1)
             if got is not None:
                 return got
         return None
 
-    return rec(0, 0, size)
+    return rec(0, 0, max(limit, 0))
 
 
 def gamma_value(graph: Graph) -> int:
@@ -142,14 +123,6 @@ def gamma_value(graph: Graph) -> int:
     if graph.order == 0:
         raise ValueError("domination number needs at least one vertex")
     return _exact_gamma(graph.closed_rows(), graph.full_mask)
-
-
-def has_dominating_set_of_size(graph: Graph, size: int) -> bool:
-    if graph.order == 0:
-        raise ValueError("domination needs at least one vertex")
-    if size < 0:
-        return False
-    return _cover_within(graph.closed_rows(), graph.full_mask, min(size, graph.order))
 
 
 def domination_number(graph: Graph) -> GammaResult:

@@ -16,11 +16,6 @@ def _ceil3(n: int) -> int:
     return (n + 2) // 3
 
 
-def residue_class(n: int) -> int:
-    """n mod 3, the case discriminator used by all the product formulas."""
-    return n % 3
-
-
 def gamma_path(n: int) -> int:
     """Domination number of the n-vertex path: ceil(n/3)."""
     if n < 1:

@@ -1,11 +1,7 @@
 """Bit-row graphs, graph families, strong products, and the edge-list text format.
 
 Vertices are 0-based ints everywhere.  A graph is an immutable value whose
-``rows[v]`` is the neighbour bitmask of vertex ``v``.  The only 1-based
-surface is the pair of column-range helpers near the bottom
-(``column_block`` and ``block_interior_edges``), which follow the 1-based
-column convention that is natural for products with a path and translate to
-0-based indices immediately on entry.
+``rows[v]`` is the neighbour bitmask of vertex ``v``.
 """
 
 from __future__ import annotations
@@ -22,13 +18,6 @@ def iter_bits(mask: int) -> Iterator[int]:
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
-
-
-def mask_of(vertices: Iterable[int]) -> int:
-    out = 0
-    for v in vertices:
-        out |= 1 << v
-    return out
 
 
 def normalize_edge(u: int, v: int) -> Edge:
@@ -269,72 +258,6 @@ def remove_edges(graph: Graph, removed: Iterable[tuple[int, int]]) -> Graph:
         rows[e[0]] &= ~(1 << e[1])
         rows[e[1]] &= ~(1 << e[0])
     return Graph(graph.order, tuple(rows))
-
-
-def induced_subgraph(graph: Graph, vertices: Iterable[int]) -> tuple[Graph, tuple[int, ...]]:
-    """Subgraph on ``vertices`` relabelled to 0..k-1 in sorted order.
-
-    Returns the subgraph and the tuple mapping each new index to its old one.
-    """
-    keep = sorted(set(vertices))
-    if not keep:
-        raise ValueError("an induced subgraph needs at least one vertex")
-    if keep[0] < 0 or keep[-1] >= graph.order:
-        raise ValueError("vertex out of range")
-    pos = {old: new for new, old in enumerate(keep)}
-    rows = []
-    for old in keep:
-        row = 0
-        for u in iter_bits(graph.rows[old]):
-            new = pos.get(u)
-            if new is not None:
-                row |= 1 << new
-        rows.append(row)
-    return Graph(len(keep), tuple(rows)), tuple(keep)
-
-
-def column_block(idx: ProductIndexing, i: int, j: int) -> tuple[int, ...]:
-    """Vertices of columns ``i..j`` (1-based, inclusive) as sorted flat indices."""
-    if not 1 <= i <= j <= idx.right_order:
-        raise ValueError(f"column range {i}..{j} invalid for {idx.right_order} columns")
-    n = idx.right_order
-    return tuple(
-        g * n + h for g in range(idx.left_order) for h in range(i - 1, j)
-    )
-
-
-def block_interior_edges(
-    graph: Graph, idx: ProductIndexing, i: int, j: int, exclude: str = "both"
-) -> tuple[Edge, ...]:
-    """Edges of the column block ``i..j`` minus the internal edges of its end columns.
-
-    ``exclude`` picks which end columns lose their internal edges: "both"
-    (needs at least three columns) or "left"/"right" (needs at least two).
-    """
-    if graph.order != idx.order:
-        raise ValueError("indexing does not match the graph order")
-    if exclude not in ("both", "left", "right"):
-        raise ValueError(f"unknown exclude mode {exclude!r}")
-    if not 1 <= i <= j <= idx.right_order:
-        raise ValueError(f"column range {i}..{j} invalid for {idx.right_order} columns")
-    if j == i:
-        raise ValueError("a block interior needs at least two columns")
-    if exclude == "both" and j - i < 2:
-        raise ValueError("excluding both end columns needs at least three columns")
-    n = idx.right_order
-    lo, hi = i - 1, j - 1
-    out: list[Edge] = []
-    for u, v in graph.edges():
-        cu, cv = u % n, v % n
-        if not (lo <= cu <= hi and lo <= cv <= hi):
-            continue
-        if cu == cv:
-            if cu == lo and exclude in ("both", "left"):
-                continue
-            if cu == hi and exclude in ("both", "right"):
-                continue
-        out.append((u, v))
-    return tuple(out)
 
 
 class GraphTextError(ValueError):

@@ -21,6 +21,7 @@ from typing import Iterable, Sequence
 from ._version import __version__
 from .bondage import (
     TimeBudgetExceeded,
+    _deadline,
     bondage_number,
     column_cover_edges,
     covering_matching,
@@ -303,7 +304,6 @@ def verify_instance(
     full_search: bool = False,
     budget_seconds: float | None = None,
     max_size: int | None = None,
-    seed: int = 0,
 ) -> ReportEntry:
     """One verified quantity on one instance.
 
@@ -316,69 +316,44 @@ def verify_instance(
     if quantity not in QUANTITIES:
         raise ValueError(f"unknown quantity {quantity!r}")
     start = time.monotonic()
-    deadline = start + budget_seconds if budget_seconds else None
+    deadline = _deadline(budget_seconds)
     formula = None
     method = "exact-search"
     try:
         built = build_instance(spec)
         formula = formula_value(spec, quantity)
         note = ""
+        computed: int | None = None
+        witness: object = None
         if quantity == "gamma":
             result = domination_number(built.graph)
-            computed: int | None = result.value
-            witness: object = result.witness
-            match = formula is None or computed == formula
+            computed, witness = result.value, result.witness
         else:
             graph = built.graph
             if not graph.edges():
                 raise ValueError(f"{spec.label()} has no edges; bondage is undefined")
-            if full_search or formula is None:
+            prescribed = None
+            if not full_search and formula is not None:
+                prescribed = prescribed_bondage_set(spec, built)
+            if prescribed is not None:
+                method = "witness+refutation"
+                upper_ok = len(prescribed) == formula and is_bondage_set(graph, prescribed)
+                counterexample = find_bondage_set_up_to(
+                    graph, formula - 1, budget_seconds=_remaining_seconds(deadline)
+                )
+                if counterexample is not None:
+                    computed, witness = len(counterexample), counterexample
+                    note = "refutation failed: a smaller bondage set exists"
+                elif upper_ok:
+                    computed, witness = formula, prescribed
+                else:
+                    note = "constructive witness failed to raise gamma"
+            if computed is None:
                 res = bondage_number(
-                    graph,
-                    max_size=max_size,
-                    seed=seed,
-                    budget_seconds=_remaining_seconds(deadline),
+                    graph, max_size=max_size, budget_seconds=_remaining_seconds(deadline)
                 )
                 computed, witness = res.value, res.witness
-                match = formula is None or computed == formula
-            else:
-                method = "witness+refutation"
-                prescribed = prescribed_bondage_set(spec, built)
-                if prescribed is None:
-                    method = "exact-search"
-                    res = bondage_number(
-                        graph,
-                        max_size=max_size,
-                        seed=seed,
-                        budget_seconds=_remaining_seconds(deadline),
-                    )
-                    computed, witness = res.value, res.witness
-                    match = computed == formula
-                else:
-                    upper_ok = len(prescribed) == formula and is_bondage_set(graph, prescribed)
-                    counterexample = find_bondage_set_up_to(
-                        graph,
-                        formula - 1,
-                        seed=seed,
-                        budget_seconds=_remaining_seconds(deadline),
-                    )
-                    if counterexample is not None:
-                        computed, witness = len(counterexample), counterexample
-                        match = False
-                        note = "refutation failed: a smaller bondage set exists"
-                    elif upper_ok:
-                        computed, witness = formula, prescribed
-                        match = True
-                    else:
-                        res = bondage_number(
-                            graph,
-                            max_size=max_size,
-                            seed=seed,
-                            budget_seconds=_remaining_seconds(deadline),
-                        )
-                        computed, witness = res.value, res.witness
-                        match = False
-                        note = "constructive witness failed to raise gamma"
+        match = not note and (formula is None or computed == formula)
     except TimeBudgetExceeded as exc:
         return ReportEntry(
             instance=spec,
@@ -413,10 +388,11 @@ def verify_instance_safely(
     full_search: bool = False,
     budget_seconds: float | None = None,
     max_size: int | None = None,
-    seed: int = 0,
 ) -> ReportEntry:
     """Like :func:`verify_instance`, but per-instance failures become failed
-    entries instead of exceptions, so sweeps never abort."""
+    entries instead of exceptions, so sweeps never abort.  An error entry
+    keeps the formula value when one applies, and the time spent."""
+    start = time.monotonic()
     try:
         return verify_instance(
             spec,
@@ -424,32 +400,35 @@ def verify_instance_safely(
             full_search=full_search,
             budget_seconds=budget_seconds,
             max_size=max_size,
-            seed=seed,
         )
     except Exception as exc:
+        elapsed_ms = (time.monotonic() - start) * 1000.0
+        try:
+            formula = formula_value(spec, quantity)
+        except ValueError:
+            formula = None
         return ReportEntry(
             instance=spec,
             quantity=quantity,
-            formula_value=None,
+            formula_value=formula,
             computed_value=None,
             method="error",
             match=False,
             skipped=False,
             note=f"{type(exc).__name__}: {exc}",
-            elapsed_ms=0.0,
+            elapsed_ms=elapsed_ms,
             witness=None,
         )
 
 
 def _sweep_task(args) -> ReportEntry:
-    spec, quantity, full_search, budget_seconds, max_size, seed = args
+    spec, quantity, full_search, budget_seconds, max_size = args
     return verify_instance_safely(
         spec,
         quantity,
         full_search=full_search,
         budget_seconds=budget_seconds,
         max_size=max_size,
-        seed=seed,
     )
 
 
@@ -461,7 +440,6 @@ def sweep(
     full_search: bool = False,
     budget_seconds: float | None = None,
     max_size: int | None = None,
-    seed: int = 0,
     config: dict | None = None,
 ) -> Report:
     """Verify every instance in the range; one entry per (instance, quantity).
@@ -479,7 +457,7 @@ def sweep(
     else:
         raise ValueError(f"unknown quantity {quantity!r}")
     tasks = [
-        (spec, q, full_search, budget_seconds, max_size, seed)
+        (spec, q, full_search, budget_seconds, max_size)
         for spec in specs
         for q in quantities
     ]
@@ -495,7 +473,6 @@ def sweep(
         "full_search": full_search,
         "budget_seconds": budget_seconds,
         "max_size": max_size,
-        "seed": seed,
     }
     if config:
         cfg.update(config)
@@ -504,16 +481,6 @@ def sweep(
 
 def km_pn_instances(ms: Iterable[int], ns: Iterable[int]) -> list[InstanceSpec]:
     return [InstanceSpec("km-pn", m=m, n=n) for m in ms for n in ns]
-
-
-def km_starlike_instances(
-    ms: Iterable[int], branch_lists: Iterable[Sequence[int]]
-) -> list[InstanceSpec]:
-    return [
-        InstanceSpec("km-starlike", m=m, branches=tuple(b))
-        for m in ms
-        for b in branch_lists
-    ]
 
 
 def starlike_branch_multisets(

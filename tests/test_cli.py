@@ -32,6 +32,20 @@ def test_bondage_command(capsys):
     assert json.loads(out)["bondage"] == 2
 
 
+def test_budget_flag_accepts_fractions(capsys):
+    flags = ("--family", "path", "--n", "4", "--budget-seconds", "0.5", "--json")
+    code, out = run(capsys, "bondage", *flags)
+    assert code == 0
+    assert json.loads(out)["bondage"] == 2
+
+
+@pytest.mark.parametrize("flags", [("--budget-seconds", "0"), ("--seed", "1")])
+def test_bad_search_flags_are_usage_errors(capsys, flags):
+    with pytest.raises(SystemExit) as exc:
+        main(["bondage", "--family", "path", "--n", "4", *flags])
+    assert exc.value.code == 2
+
+
 def test_verify_command(capsys):
     code, out = run(
         capsys, "verify", "--family", "km-pn", "--m", "2", "--n", "3", "--json"

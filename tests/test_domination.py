@@ -4,10 +4,10 @@ from hypothesis import strategies as st
 
 from strongdom.domination import (
     EnumerationCapExceeded,
+    _cover_within,
     domination_number,
     enumerate_min_dominating_sets,
     gamma_value,
-    has_dominating_set_of_size,
     is_dominating,
     two_packing_number,
 )
@@ -15,6 +15,7 @@ from strongdom.graphs import (
     Graph,
     StarlikeSpec,
     complete_graph,
+    iter_bits,
     path_graph,
     star_graph,
     starlike_tree,
@@ -100,8 +101,10 @@ def test_enumerate_cap_refusal():
 def test_solver_matches_brute_force(g):
     value = gamma_value(g)
     assert value == brute_gamma(g)
-    assert has_dominating_set_of_size(g, value)
-    assert not has_dominating_set_of_size(g, value - 1)
+    cover = _cover_within(g.closed_rows(), g.full_mask, value)
+    assert cover is not None and cover.bit_count() <= value
+    assert is_dominating(g, iter_bits(cover))
+    assert _cover_within(g.closed_rows(), g.full_mask, value - 1) is None
 
 
 @given(graphs(max_order=7))

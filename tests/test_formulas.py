@@ -12,7 +12,6 @@ from strongdom.formulas import (
     gamma_km_pn,
     gamma_path,
     gamma_starlike,
-    residue_class,
     residue_profile,
     starlike_branch_lower_bounds,
     starlike_canonical_dominating_set,
@@ -67,7 +66,6 @@ def test_bondage_km_pn():
 
 
 def test_residue_helpers():
-    assert [residue_class(n) for n in (3, 4, 5)] == [0, 1, 2]
     profile = residue_profile(StarlikeSpec((1, 2, 3, 4)))
     assert (profile.ones, profile.twos, profile.zeros) == (2, 1, 1)
     assert profile.branch_count == 4

@@ -6,10 +6,7 @@ from strongdom.graphs import (
     Graph,
     GraphTextError,
     StarlikeSpec,
-    block_interior_edges,
-    column_block,
     complete_graph,
-    induced_subgraph,
     parse_graph_text,
     path_graph,
     remove_edges,
@@ -144,64 +141,10 @@ def test_strong_product_rejects_empty_factor():
         strong_product(Graph(0, ()), path_graph(2))
 
 
-def test_column_block_sizes():
-    _, idx = strong_product(complete_graph(3), path_graph(4))
-    assert len(column_block(idx, 1, 1)) == 3
-    assert column_block(idx, 1, 4) == tuple(range(12))
-    _, idx25 = strong_product(complete_graph(2), path_graph(5))
-    assert len(column_block(idx25, 2, 4)) == 6
-    with pytest.raises(ValueError):
-        column_block(idx, 3, 2)
-    with pytest.raises(ValueError):
-        column_block(idx, 1, 5)
-
-
 def test_column_members():
     _, idx = strong_product(complete_graph(3), path_graph(4))
     assert idx.column(0) == (0, 4, 8)
     assert all(idx.pair(v)[1] == 2 for v in idx.column(2))
-
-
-def test_block_interior_edges_three_columns():
-    prod, idx = strong_product(complete_graph(2), path_graph(3))
-    interior = block_interior_edges(prod, idx, 1, 3)
-    # brute classification: all edges of the block minus both end-column edges
-    n = idx.right_order
-    expected = [
-        e
-        for e in prod.edges()
-        if not (e[0] % n == e[1] % n and e[0] % n in (0, 2))
-    ]
-    assert list(interior) == expected
-    assert len(interior) == 9
-
-
-def test_block_interior_edges_two_column_variants():
-    prod, idx = strong_product(complete_graph(3), path_graph(4))
-    n = idx.right_order
-    left_excluded = block_interior_edges(prod, idx, 1, 2, exclude="left")
-    assert all(not (u % n == v % n == 0) for u, v in left_excluded)
-    right_excluded = block_interior_edges(prod, idx, 1, 2, exclude="right")
-    assert all(not (u % n == v % n == 1) for u, v in right_excluded)
-    # both variants keep the other end column's internal edges
-    assert any(u % n == v % n == 1 for u, v in left_excluded)
-    assert any(u % n == v % n == 0 for u, v in right_excluded)
-
-
-def test_block_interior_edges_path_case():
-    prod, idx = strong_product(complete_graph(1), path_graph(5))
-    interior = block_interior_edges(prod, idx, 2, 4)
-    assert interior == ((1, 2), (2, 3))
-
-
-def test_block_interior_edges_errors():
-    prod, idx = strong_product(complete_graph(2), path_graph(4))
-    with pytest.raises(ValueError):
-        block_interior_edges(prod, idx, 1, 2)  # "both" needs three columns
-    with pytest.raises(ValueError):
-        block_interior_edges(prod, idx, 2, 2, exclude="left")
-    with pytest.raises(ValueError):
-        block_interior_edges(prod, idx, 1, 3, exclude="sideways")
 
 
 def test_remove_edges():
@@ -219,20 +162,10 @@ def test_remove_edges():
         remove_edges(p3, [(0, 2)])
 
 
-def test_induced_subgraph():
-    g = path_graph(5)
-    sub, mapping = induced_subgraph(g, range(5))
-    assert sub.rows == g.rows and mapping == (0, 1, 2, 3, 4)
-    single, _ = induced_subgraph(g, [3])
-    assert single.order == 1
-    with pytest.raises(ValueError):
-        induced_subgraph(g, [])
-
-
 def test_induced_block_is_complete():
     prod, idx = strong_product(complete_graph(3), path_graph(4))
-    sub, _ = induced_subgraph(prod, column_block(idx, 2, 2))
-    assert sub.rows == complete_graph(3).rows
+    column = idx.column(1)
+    assert all(prod.has_edge(u, v) for u in column for v in column if u != v)
 
 
 def test_parse_graph_text_examples():

@@ -3,6 +3,7 @@ import json
 
 import pytest
 
+from strongdom import harness
 from strongdom.domination import EnumerationCapExceeded
 from strongdom.graphs import GraphTextError, parse_graph_file
 from strongdom.harness import (
@@ -15,6 +16,7 @@ from strongdom.harness import (
     mds_structure_entries,
     sweep,
     verify_instance,
+    verify_instance_safely,
 )
 
 from brute import brute_bondage
@@ -90,6 +92,41 @@ def test_verify_budget_skip():
     assert entry.skipped
     assert not entry.match
     assert entry.computed_value is None
+
+
+def test_verify_budget_must_be_positive():
+    spec = InstanceSpec("km-pn", m=2, n=3)
+    for budget in (0, -1.0):
+        with pytest.raises(ValueError):
+            verify_instance(spec, "bondage", budget_seconds=budget)
+
+
+def test_verify_failed_witness_falls_back_to_search(monkeypatch):
+    spec = InstanceSpec("km-pn", m=2, n=4)
+    not_bondage = ((0, 1), (0, 4), (1, 2))
+    monkeypatch.setattr(harness, "prescribed_bondage_set", lambda *args: not_bondage)
+    entry = verify_instance(spec, "bondage")
+    assert entry.method == "witness+refutation"
+    assert entry.computed_value == 3 and not entry.match
+    assert entry.note == "constructive witness failed to raise gamma"
+
+
+def test_verify_failed_refutation(monkeypatch):
+    spec = InstanceSpec("km-pn", m=2, n=4)
+    monkeypatch.setattr(harness, "formula_value", lambda spec, quantity: 4)
+    entry = verify_instance(spec, "bondage")
+    assert entry.method == "witness+refutation"
+    assert entry.computed_value == 3 and not entry.match
+    assert entry.note == "refutation failed: a smaller bondage set exists"
+
+
+def test_error_entry_keeps_formula_and_time():
+    entry = verify_instance_safely(
+        InstanceSpec("km-pn", m=2, n=4), "bondage", full_search=True, max_size=1
+    )
+    assert entry.method == "error" and not entry.match
+    assert entry.formula_value == 3
+    assert entry.elapsed_ms > 0
 
 
 def test_sweep_shape_and_matches():
