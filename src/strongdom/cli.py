@@ -12,7 +12,7 @@ import json
 import sys
 import time
 
-from .bondage import bondage_number
+from .bondage import TimeBudgetExceeded, bondage_number
 from .domination import domination_number
 from .graphs import render_graph_text
 from .harness import (
@@ -147,9 +147,16 @@ def _cmd_gamma(args) -> int:
 def _cmd_bondage(args) -> int:
     spec = _single_instance(args)
     built = build_instance(spec)
-    result = bondage_number(
-        built.graph, max_size=args.max_size, budget_seconds=args.budget_seconds
-    )
+    try:
+        result = bondage_number(
+            built.graph, max_size=args.max_size, budget_seconds=args.budget_seconds
+        )
+    except TimeBudgetExceeded as exc:
+        print(f"skipped: {exc}", file=sys.stderr)
+        return 1
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     if args.json:
         print(
             json.dumps(
@@ -236,7 +243,7 @@ def main(argv: list[str] | None = None) -> int:
 
     p = sub.add_parser("gamma", help="exact domination number of one instance")
     _add_instance_flags(p, ranged=False)
-    _add_search_flags(p)
+    p.add_argument("--json", action="store_true", help="emit JSON")
     p.set_defaults(func=_cmd_gamma)
 
     p = sub.add_parser("bondage", help="exact bondage number of one instance")

@@ -9,8 +9,7 @@ refusing loudly beats hanging.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .graphs import Graph, iter_bits
 
@@ -125,22 +124,62 @@ def gamma_value(graph: Graph) -> int:
     return _exact_gamma(graph.closed_rows(), graph.full_mask)
 
 
+def _covers_in_lex_order(
+    closed: Sequence[int], full: int, size: int
+) -> Iterator[tuple[int, ...]]:
+    """Every dominating set of exactly ``size`` vertices, in lexicographic order.
+
+    Depth-first search that adds vertices in increasing order and visits
+    children in increasing order, so each set is a sorted tuple and the sets
+    come out in the order of a plain subset scan over that size.  A branch
+    is cut only when no completion exists: some uncovered vertex has no
+    closed neighbour at or above the next index, or the uncovered vertices
+    outnumber what the remaining picks can cover at best.
+    """
+    order = len(closed)
+    reach = [0] * (order + 1)  # reach[i]: OR of closed[i:]
+    widest = [0] * (order + 1)  # widest[i]: most bits of any closed[j], j >= i
+    acc = wide = 0
+    for i in range(order - 1, -1, -1):
+        row = closed[i]
+        acc |= row
+        if row.bit_count() > wide:
+            wide = row.bit_count()
+        reach[i], widest[i] = acc, wide
+
+    def rec(
+        start: int, covered: int, chosen: tuple[int, ...]
+    ) -> Iterator[tuple[int, ...]]:
+        remaining = size - len(chosen)
+        uncovered = full & ~covered
+        if remaining == 0:
+            if not uncovered:
+                yield chosen
+            return
+        if uncovered & ~reach[start]:
+            return
+        if uncovered.bit_count() > remaining * widest[start]:
+            return
+        for v in range(start, order - remaining + 1):
+            yield from rec(v + 1, covered | closed[v], chosen + (v,))
+            if uncovered & ~reach[v + 1]:
+                return
+
+    return rec(0, 0, ())
+
+
 def domination_number(graph: Graph) -> GammaResult:
     """Exact domination number with the lexicographically least minimum witness.
 
-    The value comes from branch and bound; the witness is the first
-    dominating set in the lexicographic scan over all subsets of that size.
+    The value comes from branch and bound; the witness is the first set of
+    that size the pruned lexicographic search yields.
     """
     value = gamma_value(graph)
-    closed = graph.closed_rows()
-    full = graph.full_mask
-    for combo in combinations(range(graph.order), value):
-        covered = 0
-        for v in combo:
-            covered |= closed[v]
-        if covered == full:
-            return GammaResult(value, combo)
-    raise AssertionError("no witness found at the exact domination number")
+    covers = _covers_in_lex_order(graph.closed_rows(), graph.full_mask, value)
+    witness = next(covers, None)
+    if witness is None:
+        raise AssertionError("no witness found at the exact domination number")
+    return GammaResult(value, witness)
 
 
 def enumerate_min_dominating_sets(
@@ -148,7 +187,8 @@ def enumerate_min_dominating_sets(
 ) -> list[tuple[int, ...]]:
     """Every minimum dominating set, in lexicographic order.
 
-    Complete by construction: the scan visits all subsets of the exact size.
+    Complete by construction: the search cuts only branches that cannot be
+    completed to a dominating set of the exact size.
     """
     if graph.order == 0:
         raise ValueError("domination needs at least one vertex")
@@ -157,16 +197,7 @@ def enumerate_min_dominating_sets(
             f"order {graph.order} exceeds the enumeration cap {cap}"
         )
     value = gamma_value(graph)
-    closed = graph.closed_rows()
-    full = graph.full_mask
-    out: list[tuple[int, ...]] = []
-    for combo in combinations(range(graph.order), value):
-        covered = 0
-        for v in combo:
-            covered |= closed[v]
-        if covered == full:
-            out.append(combo)
-    return out
+    return list(_covers_in_lex_order(graph.closed_rows(), graph.full_mask, value))
 
 
 def _square_rows(graph: Graph) -> list[int]:

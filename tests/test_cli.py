@@ -46,6 +46,33 @@ def test_bad_search_flags_are_usage_errors(capsys, flags):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize(
+    "flags", [("--max-size", "1"), ("--full-search",), ("--budget-seconds", "1")]
+)
+def test_gamma_rejects_search_flags(capsys, flags):
+    with pytest.raises(SystemExit) as exc:
+        main(["gamma", "--family", "path", "--n", "4", *flags])
+    assert exc.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "flags, prefix",
+    [
+        (
+            ("--family", "km-pn", "--m", "4", "--n", "7", "--budget-seconds", "0.05"),
+            "skipped: ",
+        ),
+        (("--family", "path", "--n", "4", "--max-size", "1"), "error: "),
+    ],
+)
+def test_bondage_failure_is_one_line(capsys, flags, prefix):
+    code = main(["bondage", *flags])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err.startswith(prefix) and captured.err.count("\n") == 1
+
+
 def test_verify_command(capsys):
     code, out = run(
         capsys, "verify", "--family", "km-pn", "--m", "2", "--n", "3", "--json"

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 from strongdom.domination import (
     EnumerationCapExceeded,
     _cover_within,
+    _covers_in_lex_order,
     domination_number,
     enumerate_min_dominating_sets,
     gamma_value,
@@ -112,7 +113,26 @@ def test_solver_matches_brute_force(g):
 def test_enumeration_matches_brute_force(g):
     got = enumerate_min_dominating_sets(g)
     assert got == brute_min_dominating_sets(g)
-    assert domination_number(g).witness in got
+    assert domination_number(g).witness == got[0]
+
+
+@given(graphs(max_order=12))
+@settings(max_examples=40)
+def test_witness_matches_brute_force(g):
+    assert domination_number(g).witness == brute_min_dominating_sets(g)[0]
+
+
+def test_enumeration_at_the_cap():
+    prod, _ = strong_product(complete_graph(3), path_graph(8))
+    assert prod.order == 24
+    assert enumerate_min_dominating_sets(prod) == brute_min_dominating_sets(prod)
+
+
+def test_witness_search_at_order_180():
+    # gamma_value is still slow at this order, so call the search directly
+    prod, _ = strong_product(complete_graph(3), path_graph(60))
+    covers = _covers_in_lex_order(prod.closed_rows(), prod.full_mask, 20)
+    assert next(covers) == tuple(range(1, 60, 3))
 
 
 def test_two_packing_examples():
