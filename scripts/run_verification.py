@@ -47,6 +47,8 @@ def main(argv: list[str] | None = None) -> int:
         "--quick", action="store_true", help="skip the heaviest bondage instances"
     )
     args = parser.parse_args(argv)
+    if args.jobs < 1:
+        parser.error(f"--jobs must be at least 1, got {args.jobs}")
 
     start = time.monotonic()
     entries = []

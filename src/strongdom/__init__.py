@@ -3,53 +3,25 @@ graphs with paths and starlike trees, plus a verification harness that
 confirms every closed-form value by two-sided exact search."""
 
 from ._version import __version__
-from .bondage import (
-    BondageResult,
-    TimeBudgetExceeded,
-    bondage_number,
-    column_cover_edges,
-    covering_matching,
-    find_bondage_set_up_to,
-    is_bondage_set,
-    path_bondage_edges,
-    pendant_bondage_set,
-    rung_edges,
-)
+from .bondage import TimeBudgetExceeded, bondage_number
 from .domination import (
-    DEFAULT_ENUMERATION_CAP,
-    EnumerationCapExceeded,
-    GammaResult,
-    PackingResult,
     domination_number,
-    enumerate_min_dominating_sets,
     gamma_value,
     is_dominating,
     two_packing_number,
 )
 from .formulas import (
-    MixedResidueError,
-    RegionBound,
-    StarlikeResidueProfile,
     bondage_complete,
     bondage_km_pn,
     bondage_km_starlike,
     bondage_path,
-    gamma_km_pn,
     gamma_path,
     gamma_starlike,
-    residue_profile,
-    starlike_branch_lower_bounds,
     starlike_canonical_dominating_set,
 )
 from .graphs import (
-    Edge,
-    Graph,
-    GraphTextError,
-    ProductIndexing,
     StarlikeSpec,
     complete_graph,
-    parse_graph_file,
-    parse_graph_text,
     path_graph,
     remove_edges,
     render_graph_text,
@@ -59,39 +31,20 @@ from .graphs import (
 )
 from .harness import (
     InstanceSpec,
-    Report,
-    ReportEntry,
     build_instance,
     build_report,
     check_mds_structure,
     emit_report,
-    formula_value,
     km_pn_instances,
     mds_structure_entries,
-    prescribed_bondage_set,
     starlike_branch_multisets,
     sweep,
-    verify_instance,
     verify_instance_safely,
 )
 
 __all__ = [
     "__version__",
-    "BondageResult",
-    "DEFAULT_ENUMERATION_CAP",
-    "Edge",
-    "EnumerationCapExceeded",
-    "GammaResult",
-    "Graph",
-    "GraphTextError",
     "InstanceSpec",
-    "MixedResidueError",
-    "PackingResult",
-    "ProductIndexing",
-    "RegionBound",
-    "Report",
-    "ReportEntry",
-    "StarlikeResidueProfile",
     "StarlikeSpec",
     "TimeBudgetExceeded",
     "bondage_complete",
@@ -102,40 +55,24 @@ __all__ = [
     "build_instance",
     "build_report",
     "check_mds_structure",
-    "column_cover_edges",
     "complete_graph",
-    "covering_matching",
     "domination_number",
     "emit_report",
-    "enumerate_min_dominating_sets",
-    "find_bondage_set_up_to",
-    "formula_value",
-    "gamma_km_pn",
     "gamma_path",
     "gamma_starlike",
     "gamma_value",
-    "is_bondage_set",
     "is_dominating",
     "km_pn_instances",
     "mds_structure_entries",
-    "parse_graph_file",
-    "parse_graph_text",
-    "path_bondage_edges",
     "path_graph",
-    "pendant_bondage_set",
-    "prescribed_bondage_set",
     "remove_edges",
     "render_graph_text",
-    "residue_profile",
-    "rung_edges",
     "star_graph",
-    "starlike_branch_lower_bounds",
     "starlike_branch_multisets",
     "starlike_canonical_dominating_set",
     "starlike_tree",
     "strong_product",
     "sweep",
     "two_packing_number",
-    "verify_instance",
     "verify_instance_safely",
 ]

@@ -21,8 +21,8 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable, Sequence
 
-from .domination import _cover_within, _exact_gamma
-from .graphs import Edge, Graph, ProductIndexing, normalize_edge
+from .domination import _cover_within, gamma_value
+from .graphs import Edge, Graph, ProductIndexing, normalize_edge, remove_edges
 
 
 class TimeBudgetExceeded(RuntimeError):
@@ -35,28 +35,10 @@ class BondageResult:
     witness: tuple[Edge, ...]
 
 
-def _normalize_edge_set(graph: Graph, edges: Iterable[tuple[int, int]]) -> tuple[Edge, ...]:
-    out: list[Edge] = []
-    seen: set[Edge] = set()
-    for u, v in edges:
-        e = normalize_edge(u, v)
-        if not graph.has_edge(*e):
-            raise ValueError(f"{e[0]}-{e[1]} is not an edge of the graph")
-        if e not in seen:
-            seen.add(e)
-            out.append(e)
-    return tuple(sorted(out))
-
-
 def is_bondage_set(graph: Graph, edges: Iterable[tuple[int, int]]) -> bool:
     """True iff removing ``edges`` strictly raises the domination number."""
-    removed = _normalize_edge_set(graph, edges)
-    closed = graph.closed_rows()
-    gamma = _exact_gamma(closed, graph.full_mask)
-    for u, v in removed:
-        closed[u] &= ~(1 << v)
-        closed[v] &= ~(1 << u)
-    return _cover_within(closed, graph.full_mask, gamma) is None
+    damaged = remove_edges(graph, edges).closed_rows()
+    return _cover_within(damaged, graph.full_mask, gamma_value(graph)) is None
 
 
 def _deadline(budget_seconds: float | None) -> float | None:
@@ -148,7 +130,7 @@ def find_bondage_set_up_to(
         return None
     closed = graph.closed_rows()
     full = graph.full_mask
-    gamma = _exact_gamma(closed, full)
+    gamma = gamma_value(graph)
     pool = _DominatingPool(graph, edges)
     pool.add(_cover_within(closed, full, gamma))
     n_edges = len(edges)

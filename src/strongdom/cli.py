@@ -2,7 +2,8 @@
 
 Subcommands: gamma, bondage, verify, sweep, mds-check, product.  Range flags
 on sweep and mds-check accept "3", "1,2,5", or "2..7".  Exit code is 0 iff
-every non-skipped report entry matches.
+every non-skipped report entry matches; a command that cannot finish prints
+one "skipped: ..." or "error: ..." line on stderr and exits 1.
 """
 
 from __future__ import annotations
@@ -53,6 +54,13 @@ def _positive_seconds(text: str) -> float:
     value = float(text)
     if not value > 0:
         raise argparse.ArgumentTypeError(f"budget must be positive, got {text!r}")
+    return value
+
+
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {text!r}")
     return value
 
 
@@ -147,16 +155,9 @@ def _cmd_gamma(args) -> int:
 def _cmd_bondage(args) -> int:
     spec = _single_instance(args)
     built = build_instance(spec)
-    try:
-        result = bondage_number(
-            built.graph, max_size=args.max_size, budget_seconds=args.budget_seconds
-        )
-    except TimeBudgetExceeded as exc:
-        print(f"skipped: {exc}", file=sys.stderr)
-        return 1
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    result = bondage_number(
+        built.graph, max_size=args.max_size, budget_seconds=args.budget_seconds
+    )
     if args.json:
         print(
             json.dumps(
@@ -261,7 +262,7 @@ def main(argv: list[str] | None = None) -> int:
     _add_instance_flags(p, ranged=True)
     _add_search_flags(p)
     p.add_argument("--quantity", choices=("gamma", "bondage", "both"), default="both")
-    p.add_argument("--jobs", type=int, default=1, help="parallel workers")
+    p.add_argument("--jobs", type=_positive_int, default=1, help="parallel workers")
     p.set_defaults(func=_cmd_sweep)
 
     p = sub.add_parser(
@@ -278,7 +279,13 @@ def main(argv: list[str] | None = None) -> int:
     p.set_defaults(func=_cmd_product)
 
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except TimeBudgetExceeded as exc:
+        print(f"skipped: {exc}", file=sys.stderr)
+    except (ValueError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+    return 1
 
 
 if __name__ == "__main__":

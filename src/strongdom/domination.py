@@ -1,9 +1,11 @@
 """Exact minimum domination, exhaustive enumeration of minimum dominating sets,
 and maximum 2-packings.
 
-``domination_number`` is exact at any order; the enumeration helpers refuse
-graphs above an explicit cap because they are inherently exponential and
-refusing loudly beats hanging.
+One bounded cover search, ``_cover_within``, answers every exact domination
+question: ``gamma_value`` runs it downward from the greedy cover size, and the
+bondage scan runs it at gamma on each damaged graph.  ``domination_number`` is
+exact at any order; the enumeration helpers refuse graphs above an explicit
+cap because they are inherently exponential and refusing loudly beats hanging.
 """
 
 from __future__ import annotations
@@ -69,59 +71,45 @@ def _pick_uncovered(closed: Sequence[int], uncovered: int) -> int:
     return best
 
 
-def _exact_gamma(closed: Sequence[int], full: int) -> int:
-    """Branch and bound on the least-coverable uncovered vertex.
-
-    Any dominating set must contain a closed neighbour of every uncovered
-    vertex, so branching over N[v] is complete; the greedy cover gives the
-    first incumbent.
-    """
-    best = _greedy_cover_size(closed, full)
-
-    def rec(covered: int, count: int) -> None:
-        nonlocal best
-        if covered == full:
-            if count < best:
-                best = count
-            return
-        if count + 1 >= best:
-            return
-        v = _pick_uncovered(closed, full & ~covered)
-        for u in iter_bits(closed[v]):
-            rec(covered | closed[u], count + 1)
-
-    rec(0, 0)
-    return best
-
-
 def _cover_within(closed: Sequence[int], full: int, limit: int) -> int | None:
     """Mask of a dominating set of size <= limit, or None if there is none.
 
-    The mask can be 0 (the empty graph), so callers test ``is None``.
+    Branches over the closed neighbourhood of the least-coverable uncovered
+    vertex: any dominating set must contain one of them, so the search is
+    complete.  The mask can be 0 (the empty graph), so callers test
+    ``is None``.
     """
     if limit >= len(closed):
         return full
 
-    def rec(covered: int, chosen: int, remaining: int) -> int | None:
+    def rec(covered: int, remaining: int) -> int | None:
         if covered == full:
-            return chosen
+            return 0
         if remaining == 0:
             return None
         v = _pick_uncovered(closed, full & ~covered)
         for u in iter_bits(closed[v]):
-            got = rec(covered | closed[u], chosen | 1 << u, remaining - 1)
+            got = rec(covered | closed[u], remaining - 1)
             if got is not None:
-                return got
+                return got | 1 << u
         return None
 
-    return rec(0, 0, max(limit, 0))
+    return rec(0, max(limit, 0))
 
 
 def gamma_value(graph: Graph) -> int:
-    """Exact domination number without witness construction (the fast path)."""
+    """Exact domination number without witness construction (the fast path).
+
+    Starts from the greedy cover size and asks the bounded cover search for
+    a smaller cover until it finds none.
+    """
     if graph.order == 0:
         raise ValueError("domination number needs at least one vertex")
-    return _exact_gamma(graph.closed_rows(), graph.full_mask)
+    closed, full = graph.closed_rows(), graph.full_mask
+    best = _greedy_cover_size(closed, full)
+    while (cover := _cover_within(closed, full, best - 1)) is not None:
+        best = cover.bit_count()
+    return best
 
 
 def _covers_in_lex_order(
@@ -171,8 +159,9 @@ def _covers_in_lex_order(
 def domination_number(graph: Graph) -> GammaResult:
     """Exact domination number with the lexicographically least minimum witness.
 
-    The value comes from branch and bound; the witness is the first set of
-    that size the pruned lexicographic search yields.
+    The value comes from the bounded cover search run downward from the
+    greedy size; the witness is the first set of that size the pruned
+    lexicographic search yields.
     """
     value = gamma_value(graph)
     covers = _covers_in_lex_order(graph.closed_rows(), graph.full_mask, value)

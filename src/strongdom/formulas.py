@@ -144,36 +144,3 @@ def bondage_km_starlike(m: int, spec: StarlikeSpec) -> int:
         return m
     return (3 * m + 1) // 2
 
-
-@dataclass(frozen=True)
-class RegionBound:
-    """A region of the tree and the minimum overlap every dominating set has with it."""
-
-    region: str
-    vertices: tuple[int, ...]
-    minimum: int
-
-
-def starlike_branch_lower_bounds(spec: StarlikeSpec, i: int) -> tuple[RegionBound, ...]:
-    """Lower bounds satisfied by every dominating set of the tree on branch ``i``.
-
-    The bounded region depends on the branch residue: the whole branch (and
-    additionally the branch with the centre) for residue 1, the whole branch
-    for residue 2, and the branch minus its first vertex for residue 0.
-    """
-    if not 1 <= i <= spec.branch_count:
-        raise ValueError(f"branch index {i} out of range 1..{spec.branch_count}")
-    length = spec.branches[i - 1]
-    verts = spec.branch_vertices(i)
-    need = _ceil3(length)
-    r = length % 3
-    if r == 1:
-        return (
-            RegionBound("branch", verts, need - 1),
-            RegionBound(
-                "augmented-branch", tuple(sorted((spec.center,) + verts)), need
-            ),
-        )
-    if r == 2:
-        return (RegionBound("branch", verts, need),)
-    return (RegionBound("branch-tail", verts[1:], need),)

@@ -446,6 +446,8 @@ def sweep(
     Entry order is sorted by instance parameters, identical for any job
     count: workers only parallelise the independent per-instance work.
     """
+    if jobs < 1:
+        raise ValueError(f"jobs must be at least 1, got {jobs}")
     specs = sorted(set(instances), key=InstanceSpec.sort_key)
     if not specs:
         raise ValueError("empty sweep range")

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -59,18 +60,31 @@ def test_gamma_rejects_search_flags(capsys, flags):
     "flags, prefix",
     [
         (
-            ("--family", "km-pn", "--m", "4", "--n", "7", "--budget-seconds", "0.05"),
+            ("bondage", "--family", "km-pn", "--m", "4", "--n", "7")
+            + ("--budget-seconds", "0.05"),
             "skipped: ",
         ),
-        (("--family", "path", "--n", "4", "--max-size", "1"), "error: "),
+        (("bondage", "--family", "path", "--n", "4", "--max-size", "1"), "error: "),
+        (("gamma", "--family", "km-pn", "--m", "3"), "error: "),
+        (("gamma", "--family", "path", "--n", "0"), "error: "),
+        (("product", "--family", "km-pn", "--m", "2"), "error: "),
+        (("gamma", "--graph", str(Path(__file__).with_name("missing.graph"))), "error: "),
+        (("mds-check", "--m", "3", "--n", "9"), "error: "),
     ],
 )
 def test_bondage_failure_is_one_line(capsys, flags, prefix):
-    code = main(["bondage", *flags])
+    code = main(list(flags))
     captured = capsys.readouterr()
     assert code == 1
     assert captured.out == ""
     assert captured.err.startswith(prefix) and captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_sweep_jobs_must_be_positive(capsys, jobs):
+    with pytest.raises(SystemExit) as exc:
+        main(["sweep", "--family", "km-pn", "--m", "2", "--n", "3", "--jobs", jobs])
+    assert exc.value.code == 2
 
 
 def test_verify_command(capsys):

@@ -13,13 +13,10 @@ from strongdom.formulas import (
     gamma_path,
     gamma_starlike,
     residue_profile,
-    starlike_branch_lower_bounds,
     starlike_canonical_dominating_set,
 )
 from strongdom.graphs import StarlikeSpec, starlike_tree
 from strongdom.harness import starlike_branch_multisets
-
-from brute import all_dominating_sets
 
 
 def test_gamma_path():
@@ -127,39 +124,3 @@ def test_bondage_km_starlike_refusals():
         bondage_km_starlike(2, StarlikeSpec((1, 2)))
     with pytest.raises(ValueError):
         bondage_km_starlike(2, StarlikeSpec((3,)))
-
-
-def test_branch_lower_bound_examples():
-    spec = StarlikeSpec((4, 5, 3))
-    one_mod = starlike_branch_lower_bounds(spec, 1)
-    assert [(b.region, b.minimum) for b in one_mod] == [
-        ("branch", 1),
-        ("augmented-branch", 2),
-    ]
-    (two_mod,) = starlike_branch_lower_bounds(spec, 2)
-    assert (two_mod.region, two_mod.minimum) == ("branch", 2)
-    (zero_mod,) = starlike_branch_lower_bounds(spec, 3)
-    assert (zero_mod.region, zero_mod.minimum) == ("branch-tail", 1)
-    assert zero_mod.vertices == spec.branch_vertices(3)[1:]
-    with pytest.raises(ValueError):
-        starlike_branch_lower_bounds(spec, 4)
-
-
-def test_branch_lower_bounds_hold_for_every_dominating_set():
-    specs = [
-        branches
-        for branches in starlike_branch_multisets([1, 2, 3], range(1, 9))
-        if sum(branches) <= 10
-    ]
-    for branches in specs:
-        spec = StarlikeSpec(branches)
-        tree = starlike_tree(spec)
-        bounds = [
-            (set(b.vertices), b.minimum)
-            for i in range(1, spec.branch_count + 1)
-            for b in starlike_branch_lower_bounds(spec, i)
-        ]
-        for dom in all_dominating_sets(tree):
-            chosen = set(dom)
-            for region, minimum in bounds:
-                assert len(chosen & region) >= minimum

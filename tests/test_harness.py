@@ -1,5 +1,6 @@
 import copy
 import json
+from pathlib import Path
 
 import pytest
 
@@ -141,6 +142,23 @@ def test_sweep_shape_and_matches():
 def test_sweep_rejects_empty_range():
     with pytest.raises(ValueError):
         sweep([], "gamma")
+
+
+@pytest.mark.parametrize("jobs", [0, -3])
+def test_sweep_rejects_bad_job_count(jobs):
+    with pytest.raises(ValueError):
+        sweep(km_pn_instances([2], [3]), "gamma", jobs=jobs)
+
+
+def test_sweep_report_matches_golden_file():
+    """Values, witnesses and field order of a small sweep, timings zeroed."""
+    report = sweep(km_pn_instances([1, 2], range(2, 6)), "both")
+    payload = json.loads(emit_report(report, "json"))
+    payload["total_elapsed_ms"] = 0
+    for entry in payload["entries"]:
+        entry["elapsed_ms"] = 0
+    golden = Path(__file__).with_name("golden") / "sweep_km_pn.json"
+    assert json.dumps(payload, indent=2) + "\n" == golden.read_text(encoding="utf-8")
 
 
 def test_sweep_survives_bad_instance():
