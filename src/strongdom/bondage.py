@@ -1,6 +1,15 @@
 """Exact bondage numbers by iterative-deepening edge-subset search, plus the
 constructive edge sets that certify upper bounds on products.
 
+Each size is refuted once per twin-symmetry class of edge sets.  Swapping
+two closed twins (vertices with equal closed neighbourhoods) is an
+automorphism, so the edges joining one pair of twin classes form an orbit;
+with the edges laid out orbit by orbit, only the sets whose least edge is
+the first edge of its orbit are scanned, in the spirit of isomorph rejection
+(McKay, J. Algorithms 26, 1998).  In K_m x T each column lies in one twin
+class.  The first size with a bondage set is scanned once more in plain
+lexicographic order, so the witness is the lexicographically least one.
+
 The search keeps a pool of minimum dominating sets of the intact graph.  Any
 candidate edge set that leaves some pool member dominating cannot have raised
 the domination number, so the vast majority of candidates are rejected by a
@@ -17,8 +26,9 @@ of size <= gamma(G) is a minimum dominating set of G as well.
 from __future__ import annotations
 
 import time
+from collections import defaultdict
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import chain, combinations
 from typing import Iterable, Sequence
 
 from .domination import _cover_within, gamma_value
@@ -115,14 +125,46 @@ class _DominatingPool:
         return False
 
 
+def _twin_orbits(closed: Sequence[int], edges: Sequence[Edge]) -> tuple[list[int], list[int]]:
+    """Edge indices laid out orbit by orbit, largest orbit first, and the
+    position where each orbit starts; ``closed`` holds the closed rows.
+
+    Closed twins (equal closed rows) may be swapped by an automorphism, so
+    the edges joining one pair of twin classes form an orbit of the group
+    those swaps generate.  The pair is keyed sorted, since an edge ``u < v``
+    may meet it from either end; an unsorted key would split the orbit in
+    two and scan more representatives than needed.
+    """
+    class_of: dict[int, int] = {}
+    twin = [class_of.setdefault(row, len(class_of)) for row in closed]
+    orbits: defaultdict[tuple[int, int], list[int]] = defaultdict(list)
+    for e_index, (u, v) in enumerate(edges):
+        cu, cv = twin[u], twin[v]
+        orbits[(cu, cv) if cu < cv else (cv, cu)].append(e_index)
+    order: list[int] = []
+    starts: list[int] = []
+    for orbit in sorted(orbits.values(), key=len, reverse=True):
+        starts.append(len(order))
+        order.extend(orbit)
+    return order, starts
+
+
 def find_bondage_set_up_to(
     graph: Graph, max_size: int, *, budget_seconds: float | None = None
 ) -> tuple[Edge, ...] | None:
     """Smallest (then lexicographically least) bondage set of size <= max_size,
-    or None once every candidate subset has been refuted.
+    or None once every size up to max_size has been refuted.
 
-    Exhaustive over all edge subsets of each size, smallest size first; the
-    pool only filters, the exact solver has the final word on survivors.
+    Each size is refuted over one representative per twin-symmetry class:
+    with the edges laid out orbit by orbit (``_twin_orbits``), only the sets
+    whose least edge opens its orbit are scanned.  Any other set is mapped
+    onto one of these by twin swaps, which preserve the domination number,
+    by moving its least edge to the first edge of that edge's orbit (the
+    swaps keep every edge in its own orbit, so none lands earlier).  At the
+    first size where a representative raises gamma, a plain lexicographic
+    scan of that size alone returns the lexicographically least witness.
+
+    The pool only filters; the exact solver has the final word on survivors.
     """
     deadline = _deadline(budget_seconds)
     edges = graph.edges()
@@ -139,32 +181,45 @@ def find_bondage_set_up_to(
     survives = pool.some_member_survives
     monotonic = time.monotonic
     checked = 0
+    order, starts = _twin_orbits(closed, edges)
     for k in range(1, min(max_size, n_edges) + 1):
-        front_touch = touch[pool.front]
-        for combo in combinations(range(n_edges), k):
-            checked += 1
-            if deadline is not None and not checked & 2047 and monotonic() > deadline:
-                raise TimeBudgetExceeded(
-                    f"deadline hit after {checked} candidate sets at size {k}"
-                )
-            zmask = 0
-            for e in combo:
-                zmask |= bit[e]
-            if zmask & front_touch == 0:
-                continue
-            if survives(zmask, combo):
-                front_touch = touch[pool.front]
-                continue
-            # no pooled set survives; ask the exact solver
-            damaged = closed.copy()
-            for e in combo:
-                u, v = edges[e]
-                damaged[u] &= ~(1 << v)
-                damaged[v] &= ~(1 << u)
-            cover = _cover_within(damaged, full, gamma)
-            if cover is None:
+        representatives = chain.from_iterable(
+            map((order[p],).__add__, combinations(order[p + 1 :], k - 1)) for p in starts
+        )
+        # the plain scan runs only once a representative of this size raised gamma
+        for witness_scan, candidates in enumerate(
+            (representatives, combinations(range(n_edges), k))
+        ):
+            front_touch = touch[pool.front]
+            for combo in candidates:
+                checked += 1
+                if deadline is not None and not checked & 2047 and monotonic() > deadline:
+                    what = "representative and witness-scan" if witness_scan else "representative"
+                    raise TimeBudgetExceeded(
+                        f"deadline hit after {checked} {what} sets at size {k}"
+                    )
+                zmask = 0
+                for e in combo:
+                    zmask |= bit[e]
+                if zmask & front_touch == 0:
+                    continue
+                if survives(zmask, combo):
+                    front_touch = touch[pool.front]
+                    continue
+                # no pooled set survives; ask the exact solver
+                damaged = closed.copy()
+                for e in combo:
+                    u, v = edges[e]
+                    damaged[u] &= ~(1 << v)
+                    damaged[v] &= ~(1 << u)
+                cover = _cover_within(damaged, full, gamma)
+                if cover is None:
+                    break
+                pool.add(cover)
+            else:
+                break  # every candidate refuted: size k holds
+            if witness_scan:
                 return tuple(edges[e] for e in combo)
-            pool.add(cover)
     return None
 
 
@@ -176,9 +231,10 @@ def bondage_number(
 ) -> BondageResult:
     """Exact bondage number with a minimum witness.
 
-    Iterative deepening over subset sizes; within a size the candidates are
-    scanned in lexicographic order over the sorted edge list, so the witness
-    is the lexicographically least minimum bondage set.
+    Iterative deepening over subset sizes, each refuted over twin-symmetry
+    representatives; the answer size is then scanned in lexicographic order
+    over the sorted edge list, so the witness is the lexicographically least
+    minimum bondage set.
     """
     edges = graph.edges()
     if not edges:

@@ -12,7 +12,6 @@ two-sided route is the default whenever a formula applies.
 from __future__ import annotations
 
 import json
-import multiprocessing
 import time
 from dataclasses import dataclass
 from itertools import combinations_with_replacement
@@ -466,6 +465,8 @@ def sweep(
     if jobs <= 1:
         entries = [_sweep_task(t) for t in tasks]
     else:
+        import multiprocessing  # only worker pools need it; keeps serial runs lean
+
         with multiprocessing.Pool(processes=jobs) as pool:
             entries = pool.map(_sweep_task, tasks)
     total_ms = (time.monotonic() - start) * 1000.0

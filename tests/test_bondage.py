@@ -2,11 +2,12 @@ import random
 from itertools import combinations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from strongdom.bondage import (
     _DominatingPool,
+    _twin_orbits,
     bondage_number,
     column_cover_edges,
     covering_matching,
@@ -27,6 +28,27 @@ from strongdom.graphs import (
 )
 
 from brute import brute_bondage, brute_first_bondage_witness
+
+
+@st.composite
+def graphs_with_planted_twins(draw):
+    """Strong products K_m x G, or random graphs with closed-twin copies of
+    some vertices, at most six vertices so the plain-scan oracle stays quick."""
+    if draw(st.booleans()):
+        m = draw(st.sampled_from([2, 3]))
+        order = draw(st.integers(1, 6 // m))
+        possible = [(u, v) for u in range(order) for v in range(u + 1, order)]
+        edges = draw(st.lists(st.sampled_from(possible), unique=True)) if possible else []
+        return strong_product(complete_graph(m), Graph.from_edges(order, edges))[0]
+    order = draw(st.integers(2, 4))
+    possible = [(u, v) for u in range(order) for v in range(u + 1, order)]
+    edges = set(draw(st.lists(st.sampled_from(possible), unique=True)))
+    for twin in range(order, order + draw(st.integers(1, 6 - order))):
+        src = draw(st.integers(0, twin - 1))
+        edges |= {(v, twin) for u, v in edges if u == src}
+        edges |= {(u, twin) for u, v in edges if v == src}
+        edges.add((src, twin))
+    return Graph.from_edges(twin + 1, sorted(edges))
 
 
 @st.composite
@@ -219,3 +241,47 @@ def test_bondage_search_at_order_26():
     assert prod.order == 26
     assert find_bondage_set_up_to(prod, 2) is None
     assert bondage_number(prod).value == 3
+
+
+@given(graphs_with_planted_twins())
+@example(Graph.from_edges(4, [(0, 1), (0, 2), (0, 3), (2, 3)]))  # orbit {02, 03} leads
+@settings(max_examples=40, deadline=None)
+def test_twin_orbit_scan_matches_brute_force(g):
+    witness = brute_first_bondage_witness(g)
+    b = len(witness)
+    assert find_bondage_set_up_to(g, b - 1) is None
+    assert find_bondage_set_up_to(g, b) == witness
+    assert find_bondage_set_up_to(g, b + 1) == witness
+
+
+def _orbit_edges(g):
+    edges = g.edges()
+    order, starts = _twin_orbits(g.closed_rows(), edges)
+    return [
+        [edges[e] for e in order[p:q]] for p, q in zip(starts, starts[1:] + [len(order)])
+    ]
+
+
+def test_twin_orbit_joins_both_orientations_of_a_class_pair():
+    # 0 and 5 are closed twins; vertex 3's class gets a higher id than theirs,
+    # so (0, 3) and (3, 5) meet the pair of classes from opposite ends
+    g = Graph.from_edges(6, [(0, 3), (0, 5), (3, 5), (1, 2), (3, 4)])
+    orbits = _orbit_edges(g)
+    assert orbits[0] == [(0, 3), (3, 5)]
+    assert sorted(map(len, orbits), reverse=True) == [2, 1, 1, 1]
+    assert find_bondage_set_up_to(g, len(g.edges())) == brute_first_bondage_witness(g)
+
+
+def test_km_pn_orbits_are_column_pairs():
+    prod, idx = strong_product(complete_graph(3), path_graph(4))
+    orbits = _orbit_edges(prod)
+    assert [len(o) for o in orbits] == [9, 9, 9, 3, 3, 3, 3]
+    for orbit in orbits:
+        columns = {tuple(sorted((idx.pair(u)[1], idx.pair(v)[1]))) for u, v in orbit}
+        assert len(columns) == 1
+
+
+def test_frontier_refutation_of_k12():
+    # K_6 x P_2 is K_12, whose edges form one orbit: b = 6, refuted at 5
+    prod, _ = strong_product(complete_graph(6), path_graph(2))
+    assert find_bondage_set_up_to(prod, 5) is None
