@@ -7,7 +7,7 @@ graphs with paths (m 1..3 x n 2..7 plus m 4 x n {2,3,5,6}), the gamma sweep
 range, and the minimum-dominating-set structure audit (m 1..3 x n 2..6).
 
 Usage:
-    python3 scripts/run_verification.py [--jobs N] [--json-out PATH] [--quick]
+    python3 scripts/run_verification.py [--jobs N] [--json-out PATH]
 """
 
 from __future__ import annotations
@@ -43,9 +43,6 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--jobs", type=int, default=1)
     parser.add_argument("--json-out", help="also write the JSON report here")
-    parser.add_argument(
-        "--quick", action="store_true", help="skip the heaviest bondage instances"
-    )
     args = parser.parse_args(argv)
     if args.jobs < 1:
         parser.error(f"--jobs must be at least 1, got {args.jobs}")
@@ -53,9 +50,9 @@ def main(argv: list[str] | None = None) -> int:
     start = time.monotonic()
     entries = []
 
-    bondage_instances = km_pn_instances([1, 2, 3], range(2, 8))
-    if not args.quick:
-        bondage_instances += km_pn_instances([4], [2, 3, 5, 6])
+    bondage_instances = km_pn_instances([1, 2, 3], range(2, 8)) + km_pn_instances(
+        [4], [2, 3, 5, 6]
+    )
     print(f"bondage sweep over {len(bondage_instances)} path products ...")
     entries.extend(sweep(bondage_instances, "bondage", jobs=args.jobs).entries)
 

@@ -4,12 +4,7 @@ confirms every closed-form value by two-sided exact search."""
 
 from ._version import __version__
 from .bondage import TimeBudgetExceeded, bondage_number
-from .domination import (
-    domination_number,
-    gamma_value,
-    is_dominating,
-    two_packing_number,
-)
+from .domination import domination_number, gamma_value, is_dominating
 from .formulas import (
     bondage_complete,
     bondage_km_pn,
@@ -33,13 +28,12 @@ from .harness import (
     InstanceSpec,
     build_instance,
     build_report,
-    check_mds_structure,
     emit_report,
     km_pn_instances,
     mds_structure_entries,
     starlike_branch_multisets,
     sweep,
-    verify_instance_safely,
+    verify_instance,
 )
 
 __all__ = [
@@ -54,7 +48,6 @@ __all__ = [
     "bondage_path",
     "build_instance",
     "build_report",
-    "check_mds_structure",
     "complete_graph",
     "domination_number",
     "emit_report",
@@ -73,6 +66,5 @@ __all__ = [
     "starlike_tree",
     "strong_product",
     "sweep",
-    "two_packing_number",
-    "verify_instance_safely",
+    "verify_instance",
 ]

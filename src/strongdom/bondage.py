@@ -150,7 +150,7 @@ def _twin_orbits(closed: Sequence[int], edges: Sequence[Edge]) -> tuple[list[int
 
 
 def find_bondage_set_up_to(
-    graph: Graph, max_size: int, *, budget_seconds: float | None = None
+    graph: Graph, max_size: int, *, deadline: float | None = None
 ) -> tuple[Edge, ...] | None:
     """Smallest (then lexicographically least) bondage set of size <= max_size,
     or None once every size up to max_size has been refuted.
@@ -165,8 +165,12 @@ def find_bondage_set_up_to(
     scan of that size alone returns the lexicographically least witness.
 
     The pool only filters; the exact solver has the final word on survivors.
+    ``deadline`` is a ``time.monotonic()`` instant (None: unlimited), checked
+    on entry and every 2,048 sets; passing it raises ``TimeBudgetExceeded``.
     """
-    deadline = _deadline(budget_seconds)
+    monotonic = time.monotonic
+    if deadline is not None and monotonic() > deadline:
+        raise TimeBudgetExceeded("instance budget exhausted")
     edges = graph.edges()
     if max_size <= 0 or not edges:
         return None
@@ -179,7 +183,6 @@ def find_bondage_set_up_to(
     bit = [1 << e for e in range(n_edges)]
     touch = pool.touch
     survives = pool.some_member_survives
-    monotonic = time.monotonic
     checked = 0
     order, starts = _twin_orbits(closed, edges)
     for k in range(1, min(max_size, n_edges) + 1):
@@ -227,20 +230,20 @@ def bondage_number(
     graph: Graph,
     *,
     max_size: int | None = None,
-    budget_seconds: float | None = None,
+    deadline: float | None = None,
 ) -> BondageResult:
     """Exact bondage number with a minimum witness.
 
     Iterative deepening over subset sizes, each refuted over twin-symmetry
     representatives; the answer size is then scanned in lexicographic order
     over the sorted edge list, so the witness is the lexicographically least
-    minimum bondage set.
+    minimum bondage set.  ``deadline`` is as in ``find_bondage_set_up_to``.
     """
     edges = graph.edges()
     if not edges:
         raise ValueError("an edgeless graph has no bondage set")
     limit = len(edges) if max_size is None else min(max_size, len(edges))
-    witness = find_bondage_set_up_to(graph, limit, budget_seconds=budget_seconds)
+    witness = find_bondage_set_up_to(graph, limit, deadline=deadline)
     if witness is None:
         raise ValueError(f"no bondage set of size <= {limit} exists")
     return BondageResult(len(witness), witness)

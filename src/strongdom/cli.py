@@ -13,17 +13,17 @@ import json
 import sys
 import time
 
-from .bondage import TimeBudgetExceeded, bondage_number
+from .bondage import TimeBudgetExceeded, _deadline, bondage_number
 from .domination import domination_number
 from .graphs import render_graph_text
 from .harness import (
+    FAMILIES,
     InstanceSpec,
     build_instance,
     build_report,
     emit_report,
     mds_structure_entries,
     sweep,
-    verify_instance_safely,
 )
 
 
@@ -65,9 +65,7 @@ def _positive_int(text: str) -> int:
 
 
 def _add_instance_flags(parser: argparse.ArgumentParser, ranged: bool) -> None:
-    parser.add_argument(
-        "--family", choices=("km-pn", "km-starlike", "path", "complete", "file")
-    )
+    parser.add_argument("--family", choices=FAMILIES)
     if ranged:
         parser.add_argument("--m", type=_int_range, help="left factor order(s)")
         parser.add_argument("--n", type=_int_range, help="path length(s)")
@@ -96,34 +94,29 @@ def _add_search_flags(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _single_instance(args) -> InstanceSpec:
+def _family(args) -> str:
+    if args.family:
+        return args.family
     if args.graph:
-        return InstanceSpec("file", path=args.graph)
-    if not args.family:
-        raise SystemExit("error: --family (or --graph) is required")
+        return "file"
+    raise SystemExit("error: --family (or --graph) is required")
+
+
+def _single_instance(args) -> InstanceSpec:
     branches = args.branches[0] if args.branches else None
-    return InstanceSpec(args.family, m=args.m, n=args.n, branches=branches)
+    return InstanceSpec(_family(args), m=args.m, n=args.n, branches=branches, path=args.graph)
 
 
 def _ranged_instances(args) -> list[InstanceSpec]:
-    if args.graph:
-        return [InstanceSpec("file", path=args.graph)]
-    if not args.family:
-        raise SystemExit("error: --family (or --graph) is required")
-    family = args.family
-    ms = args.m or [None]
-    ns = args.n or [None]
-    if family == "km-pn":
-        return [InstanceSpec(family, m=m, n=n) for m in ms for n in ns]
-    if family == "km-starlike":
-        if not args.branches:
-            raise SystemExit("error: km-starlike sweeps need --branches")
-        return [InstanceSpec(family, m=m, branches=b) for m in ms for b in args.branches]
-    if family == "path":
-        return [InstanceSpec(family, n=n) for n in ns]
-    if family == "complete":
-        return [InstanceSpec(family, m=m) for m in ms]
-    raise SystemExit("error: file sweeps need --graph")
+    """One instance per combination of the given parameter values; a flag
+    the family does not take is an error (``InstanceSpec`` rejects it)."""
+    family = _family(args)
+    return [
+        InstanceSpec(family, m=m, n=n, branches=b, path=args.graph)
+        for m in args.m or [None]
+        for n in args.n or [None]
+        for b in args.branches or [None]
+    ]
 
 
 def _emit(report, as_json: bool) -> int:
@@ -156,7 +149,7 @@ def _cmd_bondage(args) -> int:
     spec = _single_instance(args)
     built = build_instance(spec)
     result = bondage_number(
-        built.graph, max_size=args.max_size, budget_seconds=args.budget_seconds
+        built.graph, max_size=args.max_size, deadline=_deadline(args.budget_seconds)
     )
     if args.json:
         print(
@@ -174,31 +167,12 @@ def _cmd_bondage(args) -> int:
     return 0
 
 
-def _cmd_verify(args) -> int:
-    spec = _single_instance(args)
-    quantities = ("gamma", "bondage") if args.quantity == "both" else (args.quantity,)
-    start = time.monotonic()
-    entries = [
-        verify_instance_safely(
-            spec,
-            q,
-            full_search=args.full_search,
-            budget_seconds=args.budget_seconds,
-            max_size=args.max_size,
-        )
-        for q in quantities
-    ]
-    total = (time.monotonic() - start) * 1000.0
-    report = build_report(
-        entries,
-        {"quantity": args.quantity, "full_search": args.full_search},
-        total,
-    )
-    return _emit(report, args.json)
-
-
 def _cmd_sweep(args) -> int:
-    instances = _ranged_instances(args)
+    """``sweep`` over a range, or ``verify`` as a sweep of one instance."""
+    if args.command == "verify":
+        instances = [_single_instance(args)]
+    else:
+        instances = _ranged_instances(args)
     report = sweep(
         instances,
         args.quantity,
@@ -256,7 +230,7 @@ def main(argv: list[str] | None = None) -> int:
     _add_instance_flags(p, ranged=False)
     _add_search_flags(p)
     p.add_argument("--quantity", choices=("gamma", "bondage", "both"), default="both")
-    p.set_defaults(func=_cmd_verify)
+    p.set_defaults(func=_cmd_sweep, jobs=1)
 
     p = sub.add_parser("sweep", help="verify a parameter range")
     _add_instance_flags(p, ranged=True)

@@ -1,11 +1,13 @@
-"""Exact minimum domination, exhaustive enumeration of minimum dominating sets,
-and maximum 2-packings.
+"""Exact minimum domination and exhaustive enumeration of minimum dominating
+sets.
 
 One bounded cover search, ``_cover_within``, answers every exact domination
 question: ``gamma_value`` runs it downward from the greedy cover size, and the
-bondage scan runs it at gamma on each damaged graph.  ``domination_number`` is
-exact at any order; the enumeration helpers refuse graphs above an explicit
-cap because they are inherently exponential and refusing loudly beats hanging.
+bondage scan runs it at gamma on each damaged graph.  One pruned lexicographic
+search, ``_covers_in_lex_order``, yields the lexicographically least witness
+and the full list of minimum dominating sets.  ``domination_number`` is exact
+at any order; the enumeration refuses graphs above an explicit cap because it
+is inherently exponential and refusing loudly beats hanging.
 """
 
 from __future__ import annotations
@@ -24,12 +26,6 @@ class EnumerationCapExceeded(ValueError):
 
 @dataclass(frozen=True)
 class GammaResult:
-    value: int
-    witness: tuple[int, ...]
-
-
-@dataclass(frozen=True)
-class PackingResult:
     value: int
     witness: tuple[int, ...]
 
@@ -187,50 +183,3 @@ def enumerate_min_dominating_sets(
         )
     value = gamma_value(graph)
     return list(_covers_in_lex_order(graph.closed_rows(), graph.full_mask, value))
-
-
-def _square_rows(graph: Graph) -> list[int]:
-    """Conflict masks: vertices at distance 1 or 2."""
-    rows = graph.rows
-    sq = []
-    for v in range(graph.order):
-        reach = rows[v]
-        for u in iter_bits(rows[v]):
-            reach |= rows[u]
-        sq.append(reach & ~(1 << v))
-    return sq
-
-
-def two_packing_number(graph: Graph, cap: int = DEFAULT_ENUMERATION_CAP) -> PackingResult:
-    """Maximum vertex set with pairwise distance greater than 2.
-
-    Computed as a maximum independent set of the distance-2 conflict graph,
-    by a lexicographic include-first search; the first maximum found is the
-    lexicographically least one.
-    """
-    if graph.order == 0:
-        raise ValueError("2-packing needs at least one vertex")
-    if graph.order > cap:
-        raise EnumerationCapExceeded(
-            f"order {graph.order} exceeds the enumeration cap {cap}"
-        )
-    sq = _square_rows(graph)
-    best = 0
-    best_mask = 0
-
-    def rec(cand: int, chosen: int, count: int) -> None:
-        nonlocal best, best_mask
-        if count > best:
-            best, best_mask = count, chosen
-        if count + cand.bit_count() <= best:
-            return
-        while cand:
-            low = cand & -cand
-            v = low.bit_length() - 1
-            cand ^= low
-            rec(cand & ~sq[v], chosen | low, count + 1)
-            if count + cand.bit_count() <= best:
-                return
-
-    rec(graph.full_mask, 0, 0)
-    return PackingResult(best, tuple(iter_bits(best_mask)))

@@ -2,6 +2,12 @@
 closed-form values, structural audits of minimum dominating sets, sweeps with
 optional parallelism, and machine-readable reports.
 
+``verify_instance`` is the only code that turns a verdict into a report
+entry: a pass, a fail, a skipped entry when the budget runs out, or an error
+entry (method ``error``) for any other failure, so a sweep never aborts on
+one bad instance.  A wall budget becomes one monotonic deadline there, and
+the bondage search checks that deadline as it goes.
+
 Two-sided bondage verification means: the family's constructive edge set is
 confirmed to raise the domination number (upper bound), and an exhaustive
 scan refutes every edge subset one smaller (lower bound).  Full search at the
@@ -14,6 +20,7 @@ from __future__ import annotations
 import json
 import time
 from dataclasses import dataclass
+from functools import partial
 from itertools import combinations_with_replacement
 from typing import Iterable, Sequence
 
@@ -30,11 +37,7 @@ from .bondage import (
     pendant_bondage_set,
     rung_edges,
 )
-from .domination import (
-    DEFAULT_ENUMERATION_CAP,
-    domination_number,
-    enumerate_min_dominating_sets,
-)
+from .domination import domination_number, enumerate_min_dominating_sets
 from .formulas import (
     _ceil3,
     bondage_complete,
@@ -57,7 +60,15 @@ from .graphs import (
     strong_product,
 )
 
-FAMILIES = ("km-pn", "km-starlike", "path", "complete", "file")
+# the parameters each family takes; any other parameter is an error
+_PARAMETERS = {
+    "km-pn": ("m", "n"),
+    "km-starlike": ("m", "branches"),
+    "path": ("n",),
+    "complete": ("m",),
+    "file": ("path",),
+}
+FAMILIES = tuple(_PARAMETERS)
 QUANTITIES = ("gamma", "bondage")
 
 
@@ -74,6 +85,16 @@ class InstanceSpec:
     def __post_init__(self) -> None:
         if self.family not in FAMILIES:
             raise ValueError(f"unknown family {self.family!r}")
+        taken = _PARAMETERS[self.family]
+        stray = [
+            name
+            for name in ("m", "n", "branches", "path")
+            if name not in taken and getattr(self, name) is not None
+        ]
+        if stray:
+            raise ValueError(
+                f"{self.family} takes only {' and '.join(taken)}, not {', '.join(stray)}"
+            )
         if self.branches is not None:
             object.__setattr__(self, "branches", tuple(int(b) for b in self.branches))
         if self.family == "km-pn" and ((self.m or 0) < 1 or (self.n or 0) < 1):
@@ -103,16 +124,8 @@ class InstanceSpec:
         return f"file({self.path})"
 
     def as_dict(self) -> dict:
-        out: dict = {"family": self.family}
-        if self.m is not None:
-            out["m"] = self.m
-        if self.n is not None:
-            out["n"] = self.n
-        if self.branches is not None:
-            out["branches"] = list(self.branches)
-        if self.path is not None:
-            out["path"] = self.path
-        return out
+        params = {name: getattr(self, name) for name in _PARAMETERS[self.family]}
+        return {"family": self.family, **params}
 
 
 @dataclass(frozen=True)
@@ -238,16 +251,8 @@ class ReportEntry:
             "skipped": self.skipped,
             "note": self.note,
             "elapsed_ms": round(self.elapsed_ms, 3),
-            "witness": _jsonable(self.witness),
+            "witness": self.witness,
         }
-
-
-def _jsonable(value):
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
-    if isinstance(value, dict):
-        return {k: _jsonable(v) for k, v in value.items()}
-    return value
 
 
 @dataclass(frozen=True)
@@ -275,7 +280,7 @@ class Report:
         return {
             "tool": "strongdom",
             "version": __version__,
-            "config": _jsonable(self.config),
+            "config": self.config,
             "entries": [e.as_dict() for e in self.entries],
             "summary": {"pass": self.passed, "fail": self.failed, "skipped": self.skipped},
             "total_elapsed_ms": round(self.total_elapsed_ms, 3),
@@ -286,15 +291,6 @@ def build_report(entries: Iterable[ReportEntry], config: dict, total_elapsed_ms:
     return Report(dict(config), tuple(entries), total_elapsed_ms)
 
 
-def _remaining_seconds(deadline: float | None) -> float | None:
-    if deadline is None:
-        return None
-    left = deadline - time.monotonic()
-    if left <= 0:
-        raise TimeBudgetExceeded("instance budget exhausted")
-    return left
-
-
 def verify_instance(
     spec: InstanceSpec,
     quantity: str,
@@ -303,26 +299,25 @@ def verify_instance(
     budget_seconds: float | None = None,
     max_size: int | None = None,
 ) -> ReportEntry:
-    """One verified quantity on one instance.
+    """One verified quantity on one instance, always as a report entry.
 
     gamma: exact solver against the formula.  bondage with a formula: the
     constructive witness must raise gamma and the exhaustive refutation one
     below the formula must hold; without a formula (or with --full-search)
-    the full exact search runs instead.  Budget overruns yield a skipped
-    entry, never a silent pass.
+    the full exact search runs instead.  A budget overrun yields a skipped
+    entry, never a silent pass; any other failure yields an error entry
+    that keeps the formula value and the time spent.  Only the arguments
+    themselves (an unknown quantity, a budget <= 0) raise.
     """
     if quantity not in QUANTITIES:
         raise ValueError(f"unknown quantity {quantity!r}")
-    start = time.monotonic()
     deadline = _deadline(budget_seconds)
-    formula = None
-    method = "exact-search"
+    start = time.monotonic()
+    formula = computed = witness = None
+    method, note, match, skipped = "exact-search", "", False, False
     try:
-        built = build_instance(spec)
         formula = formula_value(spec, quantity)
-        note = ""
-        computed: int | None = None
-        witness: object = None
+        built = build_instance(spec)
         if quantity == "gamma":
             result = domination_number(built.graph)
             computed, witness = result.value, result.witness
@@ -336,9 +331,7 @@ def verify_instance(
             if prescribed is not None:
                 method = "witness+refutation"
                 upper_ok = len(prescribed) == formula and is_bondage_set(graph, prescribed)
-                counterexample = find_bondage_set_up_to(
-                    graph, formula - 1, budget_seconds=_remaining_seconds(deadline)
-                )
+                counterexample = find_bondage_set_up_to(graph, formula - 1, deadline=deadline)
                 if counterexample is not None:
                     computed, witness = len(counterexample), counterexample
                     note = "refutation failed: a smaller bondage set exists"
@@ -347,24 +340,13 @@ def verify_instance(
                 else:
                     note = "constructive witness failed to raise gamma"
             if computed is None:
-                res = bondage_number(
-                    graph, max_size=max_size, budget_seconds=_remaining_seconds(deadline)
-                )
+                res = bondage_number(graph, max_size=max_size, deadline=deadline)
                 computed, witness = res.value, res.witness
         match = not note and (formula is None or computed == formula)
     except TimeBudgetExceeded as exc:
-        return ReportEntry(
-            instance=spec,
-            quantity=quantity,
-            formula_value=formula,
-            computed_value=None,
-            method=method,
-            match=False,
-            skipped=True,
-            note=f"skipped: {exc}",
-            elapsed_ms=(time.monotonic() - start) * 1000.0,
-            witness=None,
-        )
+        skipped, note = True, f"skipped: {exc}"
+    except Exception as exc:  # one bad instance must not abort a sweep
+        method, note = "error", f"{type(exc).__name__}: {exc}"
     return ReportEntry(
         instance=spec,
         quantity=quantity,
@@ -372,61 +354,10 @@ def verify_instance(
         computed_value=computed,
         method=method,
         match=match,
-        skipped=False,
+        skipped=skipped,
         note=note,
         elapsed_ms=(time.monotonic() - start) * 1000.0,
         witness=witness,
-    )
-
-
-def verify_instance_safely(
-    spec: InstanceSpec,
-    quantity: str,
-    *,
-    full_search: bool = False,
-    budget_seconds: float | None = None,
-    max_size: int | None = None,
-) -> ReportEntry:
-    """Like :func:`verify_instance`, but per-instance failures become failed
-    entries instead of exceptions, so sweeps never abort.  An error entry
-    keeps the formula value when one applies, and the time spent."""
-    start = time.monotonic()
-    try:
-        return verify_instance(
-            spec,
-            quantity,
-            full_search=full_search,
-            budget_seconds=budget_seconds,
-            max_size=max_size,
-        )
-    except Exception as exc:
-        elapsed_ms = (time.monotonic() - start) * 1000.0
-        try:
-            formula = formula_value(spec, quantity)
-        except ValueError:
-            formula = None
-        return ReportEntry(
-            instance=spec,
-            quantity=quantity,
-            formula_value=formula,
-            computed_value=None,
-            method="error",
-            match=False,
-            skipped=False,
-            note=f"{type(exc).__name__}: {exc}",
-            elapsed_ms=elapsed_ms,
-            witness=None,
-        )
-
-
-def _sweep_task(args) -> ReportEntry:
-    spec, quantity, full_search, budget_seconds, max_size = args
-    return verify_instance_safely(
-        spec,
-        quantity,
-        full_search=full_search,
-        budget_seconds=budget_seconds,
-        max_size=max_size,
     )
 
 
@@ -438,7 +369,6 @@ def sweep(
     full_search: bool = False,
     budget_seconds: float | None = None,
     max_size: int | None = None,
-    config: dict | None = None,
 ) -> Report:
     """Verify every instance in the range; one entry per (instance, quantity).
 
@@ -456,29 +386,29 @@ def sweep(
         quantities = (quantity,)
     else:
         raise ValueError(f"unknown quantity {quantity!r}")
-    tasks = [
-        (spec, q, full_search, budget_seconds, max_size)
-        for spec in specs
-        for q in quantities
-    ]
+    tasks = [(spec, q) for spec in specs for q in quantities]
+    verify = partial(
+        verify_instance,
+        full_search=full_search,
+        budget_seconds=budget_seconds,
+        max_size=max_size,
+    )
     start = time.monotonic()
-    if jobs <= 1:
-        entries = [_sweep_task(t) for t in tasks]
+    if jobs == 1:
+        entries = [verify(spec, q) for spec, q in tasks]
     else:
         import multiprocessing  # only worker pools need it; keeps serial runs lean
 
         with multiprocessing.Pool(processes=jobs) as pool:
-            entries = pool.map(_sweep_task, tasks)
+            entries = pool.starmap(verify, tasks)
     total_ms = (time.monotonic() - start) * 1000.0
-    cfg = {
+    config = {
         "quantity": quantity,
         "full_search": full_search,
         "budget_seconds": budget_seconds,
         "max_size": max_size,
     }
-    if config:
-        cfg.update(config)
-    return build_report(entries, cfg, total_ms)
+    return build_report(entries, config, total_ms)
 
 
 def km_pn_instances(ms: Iterable[int], ns: Iterable[int]) -> list[InstanceSpec]:
@@ -497,9 +427,7 @@ def starlike_branch_multisets(
     ]
 
 
-def mds_structure_entries(
-    m: int, n: int, *, cap: int = DEFAULT_ENUMERATION_CAP
-) -> list[ReportEntry]:
+def mds_structure_entries(m: int, n: int) -> list[ReportEntry]:
     """Audit every minimum dominating set of the product of a complete graph
     with a path against the per-column structure each one must have.
 
@@ -512,7 +440,7 @@ def mds_structure_entries(
     spec = InstanceSpec("km-pn", m=m, n=n)
     graph, _ = strong_product(complete_graph(m), path_graph(n))
     start = time.monotonic()
-    sets = enumerate_min_dominating_sets(graph, cap=cap)
+    sets = enumerate_min_dominating_sets(graph)
     res = n % 3
     if res == 0:
         forbidden_cols = [i for i in range(1, n + 1) if i % 3 in (0, 1)]
@@ -581,14 +509,6 @@ def mds_structure_entries(
         )
         for name, violations, note in checks
     ]
-
-
-def check_mds_structure(m: int, n: int, *, cap: int = DEFAULT_ENUMERATION_CAP) -> Report:
-    """Report form of :func:`mds_structure_entries` for a single (m, n)."""
-    start = time.monotonic()
-    entries = mds_structure_entries(m, n, cap=cap)
-    total_ms = (time.monotonic() - start) * 1000.0
-    return build_report(entries, {"m": m, "n": n, "cap": cap}, total_ms)
 
 
 def emit_report(report: Report, fmt: str = "json") -> str:

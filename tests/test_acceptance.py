@@ -7,11 +7,7 @@ Run with ``pytest tests/test_acceptance.py -v -s`` to see the lines.
 import random
 import time
 
-from strongdom.domination import (
-    gamma_value,
-    is_dominating,
-    two_packing_number,
-)
+from strongdom.domination import gamma_value, is_dominating
 from strongdom.formulas import (
     bondage_complete,
     bondage_km_pn,
@@ -32,13 +28,13 @@ from strongdom.graphs import (
 )
 from strongdom.harness import (
     InstanceSpec,
-    check_mds_structure,
     km_pn_instances,
+    mds_structure_entries,
     starlike_branch_multisets,
     sweep,
 )
 
-from brute import random_graph, random_tree
+from brute import brute_two_packing, random_graph, random_tree
 from strongdom.bondage import bondage_number
 
 
@@ -147,8 +143,7 @@ def test_criterion_5_mds_structure():
     failures = []
     for m in (1, 2, 3):
         for n in range(2, 7):
-            report = check_mds_structure(m, n)
-            for e in report.entries:
+            for e in mds_structure_entries(m, n):
                 if not e.match:
                     failures.append((m, n, e.quantity, e.witness[:3]))
     elapsed = time.monotonic() - start
@@ -178,13 +173,13 @@ def test_criterion_6_imported_propositions():
     while trials < 500:
         tree = random_tree(rng, rng.randint(1, 9))
         trials += 1
-        if two_packing_number(tree).value != gamma_value(tree):
+        if brute_two_packing(tree) != gamma_value(tree):
             failures.append(("tree-packing", tree.edges()))
     for branches in starlike_branch_multisets([1, 2, 3, 4], range(1, 8)):
         if sum(branches) > 8:
             continue
         tree = starlike_tree(StarlikeSpec(branches))
-        if two_packing_number(tree).value != gamma_value(tree):
+        if brute_two_packing(tree) != gamma_value(tree):
             failures.append(("starlike-packing", branches))
 
     pairs = 0

@@ -1,4 +1,5 @@
 import random
+import time
 from itertools import combinations
 
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from strongdom.bondage import (
+    TimeBudgetExceeded,
     _DominatingPool,
     _twin_orbits,
     bondage_number,
@@ -211,6 +213,11 @@ def test_bondage_matches_brute_force(g):
     expected = brute_bondage(g)
     assert bondage_number(g).value == expected
     assert find_bondage_set_up_to(g, expected - 1) is None
+
+
+def test_passed_deadline_stops_the_search_on_entry():
+    with pytest.raises(TimeBudgetExceeded):
+        find_bondage_set_up_to(path_graph(3), 1, deadline=time.monotonic() - 1)
 
 
 def test_pool_filter_rejections_are_sound():

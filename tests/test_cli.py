@@ -70,6 +70,23 @@ def test_gamma_rejects_search_flags(capsys, flags):
         (("product", "--family", "km-pn", "--m", "2"), "error: "),
         (("gamma", "--graph", str(Path(__file__).with_name("missing.graph"))), "error: "),
         (("mds-check", "--m", "3", "--n", "9"), "error: "),
+        # a flag the family does not take
+        (
+            ("gamma", "--family", "path", "--n", "4", "--m", "7", "--json"),
+            "error: path takes only n, not m",
+        ),
+        (
+            ("verify", "--family", "km-pn", "--m", "2", "--n", "3", "--branches", "1,2"),
+            "error: km-pn takes only m and n, not branches",
+        ),
+        (
+            ("sweep", "--family", "complete", "--m", "2..3", "--n", "4"),
+            "error: complete takes only m, not n",
+        ),
+        (
+            ("bondage", "--family", "km-pn", "--m", "2", "--n", "3", "--graph", "g.txt"),
+            "error: km-pn takes only m and n, not path",
+        ),
     ],
 )
 def test_bondage_failure_is_one_line(capsys, flags, prefix):
@@ -95,6 +112,23 @@ def test_verify_command(capsys):
     payload = json.loads(out)
     assert payload["summary"]["fail"] == 0
     assert len(payload["entries"]) == 2
+
+
+def test_verify_config_records_the_budget(capsys):
+    code, out = run(
+        capsys,
+        "verify",
+        "--family",
+        "path",
+        "--n",
+        "4",
+        "--budget-seconds",
+        "30",
+        "--json",
+    )
+    assert code == 0
+    config = json.loads(out)["config"]
+    assert config["budget_seconds"] == 30.0 and config["max_size"] is None
 
 
 def test_verify_starlike(capsys):

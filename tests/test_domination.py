@@ -10,16 +10,13 @@ from strongdom.domination import (
     enumerate_min_dominating_sets,
     gamma_value,
     is_dominating,
-    two_packing_number,
 )
 from strongdom.graphs import (
     Graph,
-    StarlikeSpec,
     complete_graph,
     iter_bits,
     path_graph,
     star_graph,
-    starlike_tree,
     strong_product,
 )
 
@@ -135,41 +132,11 @@ def test_witness_search_at_order_180():
     assert next(covers) == tuple(range(1, 60, 3))
 
 
-def test_two_packing_examples():
-    assert two_packing_number(star_graph(3)).value == 1
-    assert two_packing_number(path_graph(4)).value == 2
-    # independent oracle for the frozen value on the 7-path
-    assert brute_two_packing(path_graph(7)) == 3
-    assert two_packing_number(path_graph(7)).value == 3
-
-
-def test_two_packing_witness_is_spread_out():
-    from brute import distance_matrix
-
-    g = starlike_tree(StarlikeSpec((3, 2, 2)))
-    result = two_packing_number(g)
-    dist = distance_matrix(g)
-    pairs = [(a, b) for a in result.witness for b in result.witness if a < b]
-    assert all(dist[a][b] > 2 for a, b in pairs)
-
-
-def test_two_packing_cap_refusal():
-    prod, _ = strong_product(complete_graph(5), path_graph(6))
-    with pytest.raises(EnumerationCapExceeded):
-        two_packing_number(prod)
-
-
-@given(graphs(max_order=7))
-@settings(max_examples=40)
-def test_two_packing_matches_brute_force(g):
-    assert two_packing_number(g).value == brute_two_packing(g)
-
-
 def test_tree_packing_equals_gamma_sample():
     rng = random.Random(7)
     for _ in range(60):
         tree = random_tree(rng, rng.randint(1, 9))
-        assert two_packing_number(tree).value == gamma_value(tree)
+        assert brute_two_packing(tree) == gamma_value(tree)
 
 
 def test_product_law_sample():

@@ -1,4 +1,5 @@
 import copy
+import importlib.util
 import json
 from pathlib import Path
 
@@ -11,13 +12,11 @@ from strongdom.harness import (
     InstanceSpec,
     ReportEntry,
     build_report,
-    check_mds_structure,
     emit_report,
     km_pn_instances,
     mds_structure_entries,
     sweep,
     verify_instance,
-    verify_instance_safely,
 )
 
 from brute import brute_bondage
@@ -31,6 +30,14 @@ def strip_timing(report_dict):
     return out
 
 
+def golden_text(payload):
+    """Report JSON text with the timing fields zeroed, as the golden files hold it."""
+    payload["total_elapsed_ms"] = 0
+    for entry in payload["entries"]:
+        entry["elapsed_ms"] = 0
+    return json.dumps(payload, indent=2) + "\n"
+
+
 def test_instance_spec_validation():
     with pytest.raises(ValueError):
         InstanceSpec("km-pn", m=0, n=3)
@@ -40,6 +47,16 @@ def test_instance_spec_validation():
         InstanceSpec("file")
     with pytest.raises(ValueError):
         InstanceSpec("lattice", m=2, n=2)
+    # a parameter outside the family's own set
+    for family, params in (
+        ("km-pn", {"m": 2, "n": 3, "branches": (1, 2)}),
+        ("km-starlike", {"m": 2, "n": 3, "branches": (1, 1)}),
+        ("path", {"m": 7, "n": 4}),
+        ("complete", {"m": 3, "path": "k3.graph"}),
+        ("file", {"n": 2, "path": "k3.graph"}),
+    ):
+        with pytest.raises(ValueError, match="takes only"):
+            InstanceSpec(family, **params)
 
 
 def test_parse_graph_file(tmp_path):
@@ -122,7 +139,7 @@ def test_verify_failed_refutation(monkeypatch):
 
 
 def test_error_entry_keeps_formula_and_time():
-    entry = verify_instance_safely(
+    entry = verify_instance(
         InstanceSpec("km-pn", m=2, n=4), "bondage", full_search=True, max_size=1
     )
     assert entry.method == "error" and not entry.match
@@ -154,11 +171,8 @@ def test_sweep_report_matches_golden_file():
     """Values, witnesses and field order of a small sweep, timings zeroed."""
     report = sweep(km_pn_instances([1, 2], range(2, 6)), "both")
     payload = json.loads(emit_report(report, "json"))
-    payload["total_elapsed_ms"] = 0
-    for entry in payload["entries"]:
-        entry["elapsed_ms"] = 0
     golden = Path(__file__).with_name("golden") / "sweep_km_pn.json"
-    assert json.dumps(payload, indent=2) + "\n" == golden.read_text(encoding="utf-8")
+    assert golden_text(payload) == golden.read_text(encoding="utf-8")
 
 
 def test_sweep_survives_bad_instance():
@@ -166,6 +180,30 @@ def test_sweep_survives_bad_instance():
     assert len(report.entries) == 1
     entry = report.entries[0]
     assert entry.method == "error" and not entry.match and not entry.skipped
+
+
+def test_sweep_error_entry_is_the_same_for_any_job_count():
+    crashing = [InstanceSpec("path", n=1), InstanceSpec("path", n=2)]
+    serial = strip_timing(sweep(crashing, "bondage", jobs=1).as_dict())
+    parallel = strip_timing(sweep(crashing, "bondage", jobs=2).as_dict())
+    assert serial["entries"][0]["method"] == "error"
+    assert serial["entries"][1]["match"]
+    assert serial == parallel
+
+
+def test_battery_report_matches_golden_file(tmp_path, capsys):
+    """The whole verification battery, timings zeroed: every entry's value,
+    witness and note as the script reports them."""
+    script = Path(__file__).parents[1] / "scripts" / "run_verification.py"
+    spec = importlib.util.spec_from_file_location("run_verification", script)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    target = tmp_path / "battery.json"
+    assert module.main(["--json-out", str(target)]) == 0
+    capsys.readouterr()
+    payload = json.loads(target.read_text(encoding="utf-8"))
+    golden = Path(__file__).with_name("golden") / "battery.json"
+    assert golden_text(payload) == golden.read_text(encoding="utf-8")
 
 
 def test_sweep_deterministic_across_jobs():
@@ -180,9 +218,9 @@ def test_sweep_deterministic_across_jobs():
 
 def test_check_mds_structure_small_cases():
     for m, n in ((2, 3), (2, 5), (3, 4)):
-        report = check_mds_structure(m, n)
-        assert report.all_match(), (m, n)
-        assert all(e.witness == [] for e in report.entries)
+        entries = mds_structure_entries(m, n)
+        assert all(e.match for e in entries), (m, n)
+        assert all(e.witness == [] for e in entries)
 
 
 def test_check_mds_structure_specifics():
@@ -196,7 +234,7 @@ def test_check_mds_structure_specifics():
 
 def test_check_mds_structure_cap():
     with pytest.raises(EnumerationCapExceeded):
-        check_mds_structure(5, 6)
+        mds_structure_entries(5, 6)
 
 
 def test_emit_report_empty():
