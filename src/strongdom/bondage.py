@@ -15,6 +15,12 @@ candidate edge set that leaves some pool member dominating cannot have raised
 the domination number, so the vast majority of candidates are rejected by a
 couple of integer operations; survivors are confirmed with the exact solver,
 which keeps the search exhaustive and exact regardless of pool quality.
+Most candidates miss the pool's front member (the member last found
+untouched by a candidate) altogether, so they are skipped in bulk: each
+candidate is a prefix plus a last edge, and while the prefix misses the
+front member a bit scan of that member's touched edges jumps straight to
+the next last edge that touches it.  Only the candidates that touch the
+front member are visited.
 
 The pool grows lazily, as in the implicit hitting set loop of Chandrasekaran,
 Karp, Moreno-Centeno and Vempala (SODA 2011): it starts from one minimum
@@ -29,14 +35,10 @@ import time
 from collections import defaultdict
 from dataclasses import dataclass
 from itertools import chain, combinations
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
-from .domination import _cover_within, gamma_value
+from .domination import TimeBudgetExceeded, _check_entry, _cover_within, gamma_value
 from .graphs import Edge, Graph, ProductIndexing, normalize_edge, remove_edges
-
-
-class TimeBudgetExceeded(RuntimeError):
-    """A search ran past its wall-clock deadline."""
 
 
 @dataclass(frozen=True)
@@ -65,28 +67,37 @@ class _DominatingPool:
 
     ``touch[i]`` is the mask (over edge indices) of edges with exactly one
     endpoint in member ``i``; only those removals can break its domination.
-    A member with ``counts[w] > d`` spare dominators of ``w`` survives any
-    candidate that removes at most ``d`` of them.
+    ``slot_touch[i]`` is the same mask over the positions of a second edge
+    layout, ``slots`` (the edge index at each position).  A member with
+    ``counts[w] > d`` spare dominators of ``w`` survives any candidate that
+    removes at most ``d`` of them.
     """
 
-    __slots__ = ("graph", "edges", "touch", "targets", "counts", "front")
+    __slots__ = (
+        "graph", "edges", "slots", "touch", "slot_touch", "targets", "counts", "front"
+    )
 
-    def __init__(self, graph: Graph, edges: Sequence[Edge]):
+    def __init__(self, graph: Graph, edges: Sequence[Edge], slots: Sequence[int]):
         self.graph = graph
         self.edges = edges
+        self.slots = slots
         self.touch: list[int] = []
+        self.slot_touch: list[int] = []
         self.targets: list[dict[int, int]] = []
         self.counts: list[list[int]] = []
         self.front = 0
 
     def add(self, dmask: int) -> None:
-        touch = 0
+        edges = self.edges
+        touch = slot_touch = 0
         targets: dict[int, int] = {}
-        for e_index, (u, v) in enumerate(self.edges):
+        for slot, e_index in enumerate(self.slots):
+            u, v = edges[e_index]
             u_in = dmask >> u & 1
             v_in = dmask >> v & 1
             if u_in != v_in:
                 touch |= 1 << e_index
+                slot_touch |= 1 << slot
                 targets[e_index] = v if u_in else u
         graph = self.graph
         counts = [0] * graph.order
@@ -94,13 +105,15 @@ class _DominatingPool:
             if not dmask >> w & 1:
                 counts[w] = (graph.rows[w] & dmask).bit_count()
         self.touch.append(touch)
+        self.slot_touch.append(slot_touch)
         self.targets.append(targets)
         self.counts.append(counts)
 
     def some_member_survives(self, zmask: int, zedges: tuple[int, ...]) -> bool:
+        """True iff some member still dominates once the candidate's edges go;
+        an untouched member becomes the front.  The scan only asks about
+        candidates that touch the front member."""
         touch = self.touch
-        if zmask & touch[self.front] == 0:
-            return True
         for i in range(len(touch)):
             if zmask & touch[i] == 0:
                 self.front = i
@@ -149,6 +162,71 @@ def _twin_orbits(closed: Sequence[int], edges: Sequence[Edge]) -> tuple[list[int
     return order, starts
 
 
+def _sets_touching_front(
+    pool: _DominatingPool,
+    slots: Sequence[int],
+    firsts: Sequence[int],
+    k: int,
+    slot_touch: list[int],
+    deadline: float | None,
+) -> Iterator[tuple[int, tuple[int, ...]]]:
+    """Yield ``(mask, edge indices)`` for each k-set in the scan that touches
+    the pool's front member when the scan reaches it.
+
+    The scan lays edge ``slots[q]`` at position ``q`` and runs over the
+    position sets ``q1 < ... < qk`` with ``q1`` in ``firsts``, in
+    lexicographic order, as a (k-1)-position prefix plus a last position.
+    A set that misses the front member leaves it dominating, so it is
+    refuted without a visit: while the prefix misses the front member, a
+    bit scan of that member's touch mask over positions (``slot_touch``)
+    jumps to the next last position that touches it.  The front is read
+    afresh after every yield, since the caller's pool test may move it.
+    Prefixes and visited sets both count as steps, and the deadline is
+    checked at the first prefix after every 2,048 steps.
+    """
+    n = len(slots)
+    touch = pool.touch
+    edge_at = slots.__getitem__
+    if k == 1:  # the empty prefix; the set's one position must be in firsts
+        prefixes: Iterable[tuple[int, ...]] = [()]
+        allowed = 0
+        for q in firsts:
+            allowed |= 1 << q
+    else:  # any position after the prefix may be last
+        prefixes = chain.from_iterable(
+            map((p,).__add__, combinations(range(p + 1, n), k - 2)) for p in firsts
+        )
+        allowed = (1 << n) - 1
+    front = -1
+    steps = 0
+    check_at = 2048
+    for prefix in prefixes:
+        steps += 1
+        if deadline is not None and steps >= check_at:
+            if time.monotonic() > deadline:
+                raise TimeBudgetExceeded(f"deadline hit after {steps} scan steps at size {k}")
+            check_at = steps + 2048
+        pedges = tuple(map(edge_at, prefix))
+        pmask = 0
+        for e in pedges:
+            pmask |= 1 << e
+        q = prefix[-1] + 1 if prefix else 0  # the next last position
+        while q < n:
+            if pool.front != front:
+                front = pool.front
+                front_touch = touch[front]
+                front_slots = slot_touch[front] & allowed
+            if not pmask & front_touch:
+                ahead = front_slots >> q
+                if not ahead:
+                    break
+                q += (ahead & -ahead).bit_length() - 1
+            e = slots[q]
+            q += 1
+            steps += 1
+            yield pmask | 1 << e, pedges + (e,)
+
+
 def find_bondage_set_up_to(
     graph: Graph, max_size: int, *, deadline: float | None = None
 ) -> tuple[Edge, ...] | None:
@@ -164,50 +242,36 @@ def find_bondage_set_up_to(
     first size where a representative raises gamma, a plain lexicographic
     scan of that size alone returns the lexicographically least witness.
 
-    The pool only filters; the exact solver has the final word on survivors.
+    Both scans skip in bulk the sets that miss the pool's front member
+    (``_sets_touching_front``): that member still dominates after such a
+    removal, so only the sets that touch it are visited.  The pool only
+    filters; the exact solver has the final word on survivors.
     ``deadline`` is a ``time.monotonic()`` instant (None: unlimited), checked
-    on entry and every 2,048 sets; passing it raises ``TimeBudgetExceeded``.
+    on entry, every 2,048 scan steps and inside each gamma and solver call;
+    passing it raises ``TimeBudgetExceeded``.
     """
-    monotonic = time.monotonic
-    if deadline is not None and monotonic() > deadline:
-        raise TimeBudgetExceeded("instance budget exhausted")
+    _check_entry(deadline)
     edges = graph.edges()
     if max_size <= 0 or not edges:
         return None
     closed = graph.closed_rows()
     full = graph.full_mask
-    gamma = gamma_value(graph)
-    pool = _DominatingPool(graph, edges)
-    pool.add(_cover_within(closed, full, gamma))
-    n_edges = len(edges)
-    bit = [1 << e for e in range(n_edges)]
-    touch = pool.touch
-    survives = pool.some_member_survives
-    checked = 0
+    gamma = gamma_value(graph, deadline=deadline)
     order, starts = _twin_orbits(closed, edges)
+    pool = _DominatingPool(graph, edges, order)
+    pool.add(_cover_within(closed, full, gamma, deadline))
+    n_edges = len(edges)
+    plain = range(n_edges)
+    survives = pool.some_member_survives
     for k in range(1, min(max_size, n_edges) + 1):
-        representatives = chain.from_iterable(
-            map((order[p],).__add__, combinations(order[p + 1 :], k - 1)) for p in starts
-        )
         # the plain scan runs only once a representative of this size raised gamma
-        for witness_scan, candidates in enumerate(
-            (representatives, combinations(range(n_edges), k))
+        for slots, firsts, slot_touch in (
+            (order, starts, pool.slot_touch),
+            (plain, plain, pool.touch),
         ):
-            front_touch = touch[pool.front]
-            for combo in candidates:
-                checked += 1
-                if deadline is not None and not checked & 2047 and monotonic() > deadline:
-                    what = "representative and witness-scan" if witness_scan else "representative"
-                    raise TimeBudgetExceeded(
-                        f"deadline hit after {checked} {what} sets at size {k}"
-                    )
-                zmask = 0
-                for e in combo:
-                    zmask |= bit[e]
-                if zmask & front_touch == 0:
-                    continue
+            scan = _sets_touching_front(pool, slots, firsts, k, slot_touch, deadline)
+            for zmask, combo in scan:
                 if survives(zmask, combo):
-                    front_touch = touch[pool.front]
                     continue
                 # no pooled set survives; ask the exact solver
                 damaged = closed.copy()
@@ -215,13 +279,13 @@ def find_bondage_set_up_to(
                     u, v = edges[e]
                     damaged[u] &= ~(1 << v)
                     damaged[v] &= ~(1 << u)
-                cover = _cover_within(damaged, full, gamma)
+                cover = _cover_within(damaged, full, gamma, deadline)
                 if cover is None:
                     break
                 pool.add(cover)
             else:
                 break  # every candidate refuted: size k holds
-            if witness_scan:
+            if slots is plain:  # the witness scan met the least bondage set
                 return tuple(edges[e] for e in combo)
     return None
 

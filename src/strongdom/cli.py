@@ -103,6 +103,8 @@ def _family(args) -> str:
 
 
 def _single_instance(args) -> InstanceSpec:
+    if args.branches and len(args.branches) > 1:
+        raise ValueError(f"{args.command} takes one --branches list, got {len(args.branches)}")
     branches = args.branches[0] if args.branches else None
     return InstanceSpec(_family(args), m=args.m, n=args.n, branches=branches, path=args.graph)
 

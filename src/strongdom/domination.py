@@ -8,10 +8,15 @@ search, ``_covers_in_lex_order``, yields the lexicographically least witness
 and the full list of minimum dominating sets.  ``domination_number`` is exact
 at any order; the enumeration refuses graphs above an explicit cap because it
 is inherently exponential and refusing loudly beats hanging.
+
+Both searches take an optional ``deadline`` (a ``time.monotonic()`` instant,
+None for unlimited), checked on entry and every 1,024 search nodes; passing
+it raises ``TimeBudgetExceeded``.
 """
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
@@ -22,6 +27,15 @@ DEFAULT_ENUMERATION_CAP = 24
 
 class EnumerationCapExceeded(ValueError):
     """Raised instead of silently attempting an exponential enumeration."""
+
+
+class TimeBudgetExceeded(RuntimeError):
+    """A search ran past its wall-clock deadline."""
+
+
+def _check_entry(deadline: float | None) -> None:
+    if deadline is not None and time.monotonic() > deadline:
+        raise TimeBudgetExceeded("instance budget exhausted")
 
 
 @dataclass(frozen=True)
@@ -67,7 +81,9 @@ def _pick_uncovered(closed: Sequence[int], uncovered: int) -> int:
     return best
 
 
-def _cover_within(closed: Sequence[int], full: int, limit: int) -> int | None:
+def _cover_within(
+    closed: Sequence[int], full: int, limit: int, deadline: float | None = None
+) -> int | None:
     """Mask of a dominating set of size <= limit, or None if there is none.
 
     Branches over the closed neighbourhood of the least-coverable uncovered
@@ -75,14 +91,21 @@ def _cover_within(closed: Sequence[int], full: int, limit: int) -> int | None:
     complete.  The mask can be 0 (the empty graph), so callers test
     ``is None``.
     """
+    _check_entry(deadline)
     if limit >= len(closed):
         return full
+    nodes = 0
 
     def rec(covered: int, remaining: int) -> int | None:
+        nonlocal nodes
         if covered == full:
             return 0
         if remaining == 0:
             return None
+        if deadline is not None:
+            nodes += 1
+            if not nodes & 1023 and time.monotonic() > deadline:
+                raise TimeBudgetExceeded(f"deadline hit after {nodes} cover-search nodes")
         v = _pick_uncovered(closed, full & ~covered)
         for u in iter_bits(closed[v]):
             got = rec(covered | closed[u], remaining - 1)
@@ -93,7 +116,7 @@ def _cover_within(closed: Sequence[int], full: int, limit: int) -> int | None:
     return rec(0, max(limit, 0))
 
 
-def gamma_value(graph: Graph) -> int:
+def gamma_value(graph: Graph, *, deadline: float | None = None) -> int:
     """Exact domination number without witness construction (the fast path).
 
     Starts from the greedy cover size and asks the bounded cover search for
@@ -103,13 +126,13 @@ def gamma_value(graph: Graph) -> int:
         raise ValueError("domination number needs at least one vertex")
     closed, full = graph.closed_rows(), graph.full_mask
     best = _greedy_cover_size(closed, full)
-    while (cover := _cover_within(closed, full, best - 1)) is not None:
+    while (cover := _cover_within(closed, full, best - 1, deadline)) is not None:
         best = cover.bit_count()
     return best
 
 
 def _covers_in_lex_order(
-    closed: Sequence[int], full: int, size: int
+    closed: Sequence[int], full: int, size: int, deadline: float | None = None
 ) -> Iterator[tuple[int, ...]]:
     """Every dominating set of exactly ``size`` vertices, in lexicographic order.
 
@@ -120,7 +143,9 @@ def _covers_in_lex_order(
     closed neighbour at or above the next index, or the uncovered vertices
     outnumber what the remaining picks can cover at best.
     """
+    _check_entry(deadline)
     order = len(closed)
+    nodes = 0
     reach = [0] * (order + 1)  # reach[i]: OR of closed[i:]
     widest = [0] * (order + 1)  # widest[i]: most bits of any closed[j], j >= i
     acc = wide = 0
@@ -134,6 +159,11 @@ def _covers_in_lex_order(
     def rec(
         start: int, covered: int, chosen: tuple[int, ...]
     ) -> Iterator[tuple[int, ...]]:
+        nonlocal nodes
+        if deadline is not None:
+            nodes += 1
+            if not nodes & 1023 and time.monotonic() > deadline:
+                raise TimeBudgetExceeded(f"deadline hit after {nodes} witness-search nodes")
         remaining = size - len(chosen)
         uncovered = full & ~covered
         if remaining == 0:
@@ -152,15 +182,15 @@ def _covers_in_lex_order(
     return rec(0, 0, ())
 
 
-def domination_number(graph: Graph) -> GammaResult:
+def domination_number(graph: Graph, *, deadline: float | None = None) -> GammaResult:
     """Exact domination number with the lexicographically least minimum witness.
 
     The value comes from the bounded cover search run downward from the
     greedy size; the witness is the first set of that size the pruned
     lexicographic search yields.
     """
-    value = gamma_value(graph)
-    covers = _covers_in_lex_order(graph.closed_rows(), graph.full_mask, value)
+    value = gamma_value(graph, deadline=deadline)
+    covers = _covers_in_lex_order(graph.closed_rows(), graph.full_mask, value, deadline)
     witness = next(covers, None)
     if witness is None:
         raise AssertionError("no witness found at the exact domination number")

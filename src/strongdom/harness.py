@@ -6,7 +6,7 @@ optional parallelism, and machine-readable reports.
 entry: a pass, a fail, a skipped entry when the budget runs out, or an error
 entry (method ``error``) for any other failure, so a sweep never aborts on
 one bad instance.  A wall budget becomes one monotonic deadline there, and
-the bondage search checks that deadline as it goes.
+the gamma and bondage searches check that deadline as they go.
 
 Two-sided bondage verification means: the family's constructive edge set is
 confirmed to raise the domination number (upper bound), and an exhaustive
@@ -319,7 +319,7 @@ def verify_instance(
         formula = formula_value(spec, quantity)
         built = build_instance(spec)
         if quantity == "gamma":
-            result = domination_number(built.graph)
+            result = domination_number(built.graph, deadline=deadline)
             computed, witness = result.value, result.witness
         else:
             graph = built.graph

@@ -1,11 +1,13 @@
 import random
 import time
 from itertools import combinations
+from unittest.mock import patch
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from strongdom import bondage
 from strongdom.bondage import (
     TimeBudgetExceeded,
     _DominatingPool,
@@ -30,6 +32,7 @@ from strongdom.graphs import (
 )
 
 from brute import brute_bondage, brute_first_bondage_witness
+from reference_scan import reference_find_bondage_set_up_to
 
 
 @st.composite
@@ -225,7 +228,7 @@ def test_pool_filter_rejections_are_sound():
     prod, _ = strong_product(complete_graph(3), path_graph(3))
     edges = prod.edges()
     gamma = gamma_value(prod)
-    pool = _DominatingPool(prod, edges)
+    pool = _DominatingPool(prod, edges, range(len(edges)))
     for dset in enumerate_min_dominating_sets(prod):
         pool.add(sum(1 << v for v in dset))
     rng = random.Random(3)
@@ -292,3 +295,42 @@ def test_frontier_refutation_of_k12():
     # K_6 x P_2 is K_12, whose edges form one orbit: b = 6, refuted at 5
     prod, _ = strong_product(complete_graph(6), path_graph(2))
     assert find_bondage_set_up_to(prod, 5) is None
+
+
+def _recorded_scan(search, graph, size):
+    """The search's answer, and its pool tests (candidate mask and edges,
+    result, front before and after, pool size) and pool additions in order."""
+    log = []
+
+    class RecordingPool(bondage._DominatingPool):
+        def add(self, dmask):
+            log.append(dmask)
+            super().add(dmask)
+
+        def some_member_survives(self, zmask, zedges):
+            front = self.front
+            result = super().some_member_survives(zmask, zedges)
+            log.append((zmask, zedges, result, front, self.front, len(self.touch)))
+            return result
+
+    with patch.object(bondage, "_DominatingPool", RecordingPool):
+        return search(graph, size), log
+
+
+@given(graphs_with_planted_twins())
+@example(strong_product(complete_graph(3), path_graph(4))[0])  # b = 5
+@example(strong_product(complete_graph(2), path_graph(7))[0])  # b = 3
+@settings(max_examples=40, deadline=None)
+def test_bulk_skip_matches_per_candidate_scan(g):
+    size = len(g.edges())
+    expected = _recorded_scan(reference_find_bondage_set_up_to, g, size)
+    assert _recorded_scan(find_bondage_set_up_to, g, size) == expected
+
+
+def test_deadline_fires_inside_a_long_refutation():
+    # K_7 x P_2 is K_14 (b = 7); its size-6 refutation runs for seconds
+    prod, _ = strong_product(complete_graph(7), path_graph(2))
+    start = time.monotonic()
+    with pytest.raises(TimeBudgetExceeded):
+        find_bondage_set_up_to(prod, 6, deadline=start + 0.2)
+    assert time.monotonic() - start < 2

@@ -87,6 +87,15 @@ def test_gamma_rejects_search_flags(capsys, flags):
             ("bondage", "--family", "km-pn", "--m", "2", "--n", "3", "--graph", "g.txt"),
             "error: km-pn takes only m and n, not path",
         ),
+        # only sweep repeats --branches
+        *(
+            (
+                (command, "--family", "km-starlike", "--m", "2")
+                + ("--branches", "1,1", "--branches", "2,2"),
+                f"error: {command} takes one --branches list, got 2",
+            )
+            for command in ("gamma", "bondage", "verify", "product")
+        ),
     ],
 )
 def test_bondage_failure_is_one_line(capsys, flags, prefix):

@@ -1,9 +1,12 @@
+import time
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from strongdom.domination import (
     EnumerationCapExceeded,
+    TimeBudgetExceeded,
     _cover_within,
     _covers_in_lex_order,
     domination_number,
@@ -146,3 +149,9 @@ def test_product_law_sample():
         t = random_tree(rng, rng.randint(1, 4))
         prod, _ = strong_product(g, t)
         assert gamma_value(prod) == gamma_value(g) * gamma_value(t)
+
+
+def test_passed_deadline_stops_the_cover_search_on_entry():
+    g = path_graph(3)
+    with pytest.raises(TimeBudgetExceeded, match="instance budget exhausted"):
+        _cover_within(g.closed_rows(), g.full_mask, 1, time.monotonic() - 1)

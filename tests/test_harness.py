@@ -112,6 +112,15 @@ def test_verify_budget_skip():
     assert entry.computed_value is None
 
 
+def test_verify_gamma_budget_skip():
+    # the gamma search alone runs for tens of seconds at this size
+    entry = verify_instance(InstanceSpec("km-pn", m=3, n=27), "gamma", budget_seconds=0.5)
+    assert entry.skipped and entry.note.startswith("skipped: ")
+    assert not entry.match
+    assert entry.computed_value is None and entry.formula_value == 9
+    assert entry.elapsed_ms < 2000
+
+
 def test_verify_budget_must_be_positive():
     spec = InstanceSpec("km-pn", m=2, n=3)
     for budget in (0, -1.0):
