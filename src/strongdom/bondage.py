@@ -1,14 +1,14 @@
 """Exact bondage numbers by iterative-deepening edge-subset search, plus the
 constructive edge sets that certify upper bounds on products.
 
-Each size is refuted once per twin-symmetry class of edge sets.  Swapping
-two closed twins (vertices with equal closed neighbourhoods) is an
-automorphism, so the edges joining one pair of twin classes form an orbit;
-with the edges laid out orbit by orbit, only the sets whose least edge is
-the first edge of its orbit are scanned, in the spirit of isomorph rejection
-(McKay, J. Algorithms 26, 1998).  In K_m x T each column lies in one twin
-class.  The first size with a bondage set is scanned once more in plain
-lexicographic order, so the witness is the lexicographically least one.
+Each size is scanned once, in lexicographic order of edge indices, over
+only the edge sets that touch a prefix of every closed-twin class (closed
+twins are vertices with equal closed neighbourhoods; in K_m x T each column
+is one class).  The least member of every twin-symmetry class of edge sets
+passes that test, as in orderly generation (Read, Ann. Discrete Math. 2,
+1978; McKay, J. Algorithms 26, 1998), so each size is refuted exhaustively
+and the first bondage set met is the lexicographically least of the least
+size.
 
 The search keeps a pool of minimum dominating sets of the intact graph.  Any
 candidate edge set that leaves some pool member dominating cannot have raised
@@ -32,7 +32,6 @@ of size <= gamma(G) is a minimum dominating set of G as well.
 from __future__ import annotations
 
 import time
-from collections import defaultdict
 from dataclasses import dataclass
 from itertools import chain, combinations
 from typing import Iterable, Iterator, Sequence
@@ -47,10 +46,16 @@ class BondageResult:
     witness: tuple[Edge, ...]
 
 
-def is_bondage_set(graph: Graph, edges: Iterable[tuple[int, int]]) -> bool:
-    """True iff removing ``edges`` strictly raises the domination number."""
+def is_bondage_set(
+    graph: Graph, edges: Iterable[tuple[int, int]], *, deadline: float | None = None
+) -> bool:
+    """True iff removing ``edges`` strictly raises the domination number.
+
+    ``deadline`` is as in ``find_bondage_set_up_to``; both searches check it.
+    """
     damaged = remove_edges(graph, edges).closed_rows()
-    return _cover_within(damaged, graph.full_mask, gamma_value(graph)) is None
+    gamma = gamma_value(graph, deadline=deadline)
+    return _cover_within(damaged, graph.full_mask, gamma, deadline) is None
 
 
 def _deadline(budget_seconds: float | None) -> float | None:
@@ -66,38 +71,30 @@ class _DominatingPool:
     """Minimum dominating sets of the intact graph, indexed for fast damage tests.
 
     ``touch[i]`` is the mask (over edge indices) of edges with exactly one
-    endpoint in member ``i``; only those removals can break its domination.
-    ``slot_touch[i]`` is the same mask over the positions of a second edge
-    layout, ``slots`` (the edge index at each position).  A member with
+    endpoint in member ``i``; only those removals can break its domination,
+    and the scan's bulk skip reads the front member's mask.  A member with
     ``counts[w] > d`` spare dominators of ``w`` survives any candidate that
     removes at most ``d`` of them.
     """
 
-    __slots__ = (
-        "graph", "edges", "slots", "touch", "slot_touch", "targets", "counts", "front"
-    )
+    __slots__ = ("graph", "edges", "touch", "targets", "counts", "front")
 
-    def __init__(self, graph: Graph, edges: Sequence[Edge], slots: Sequence[int]):
+    def __init__(self, graph: Graph, edges: Sequence[Edge]):
         self.graph = graph
         self.edges = edges
-        self.slots = slots
         self.touch: list[int] = []
-        self.slot_touch: list[int] = []
         self.targets: list[dict[int, int]] = []
         self.counts: list[list[int]] = []
         self.front = 0
 
     def add(self, dmask: int) -> None:
-        edges = self.edges
-        touch = slot_touch = 0
+        touch = 0
         targets: dict[int, int] = {}
-        for slot, e_index in enumerate(self.slots):
-            u, v = edges[e_index]
+        for e_index, (u, v) in enumerate(self.edges):
             u_in = dmask >> u & 1
             v_in = dmask >> v & 1
             if u_in != v_in:
                 touch |= 1 << e_index
-                slot_touch |= 1 << slot
                 targets[e_index] = v if u_in else u
         graph = self.graph
         counts = [0] * graph.order
@@ -105,7 +102,6 @@ class _DominatingPool:
             if not dmask >> w & 1:
                 counts[w] = (graph.rows[w] & dmask).bit_count()
         self.touch.append(touch)
-        self.slot_touch.append(slot_touch)
         self.targets.append(targets)
         self.counts.append(counts)
 
@@ -138,65 +134,58 @@ class _DominatingPool:
         return False
 
 
-def _twin_orbits(closed: Sequence[int], edges: Sequence[Edge]) -> tuple[list[int], list[int]]:
-    """Edge indices laid out orbit by orbit, largest orbit first, and the
-    position where each orbit starts; ``closed`` holds the closed rows.
+def _twin_needs(closed: Sequence[int], edges: Sequence[Edge]) -> tuple[list[int], list[int]]:
+    """Per edge, the vertex masks ``ends`` (its endpoints) and ``needs``.
 
-    Closed twins (equal closed rows) may be swapped by an automorphism, so
-    the edges joining one pair of twin classes form an orbit of the group
-    those swaps generate.  The pair is keyed sorted, since an edge ``u < v``
-    may meet it from either end; an unsorted key would split the orbit in
-    two and scan more representatives than needed.
+    ``closed`` holds the closed rows; vertices with equal rows are closed
+    twins, and each twin class is ordered by vertex index.  ``needs`` holds
+    each endpoint's previous twin (the next lower vertex of its class), less
+    the edge's own endpoints: an edge set touches a prefix of every twin
+    class iff every vertex its edges need is one it touches.  An edge that
+    needs nothing is the least edge joining its pair of twin classes.
     """
-    class_of: dict[int, int] = {}
-    twin = [class_of.setdefault(row, len(class_of)) for row in closed]
-    orbits: defaultdict[tuple[int, int], list[int]] = defaultdict(list)
-    for e_index, (u, v) in enumerate(edges):
-        cu, cv = twin[u], twin[v]
-        orbits[(cu, cv) if cu < cv else (cv, cu)].append(e_index)
-    order: list[int] = []
-    starts: list[int] = []
-    for orbit in sorted(orbits.values(), key=len, reverse=True):
-        starts.append(len(order))
-        order.extend(orbit)
-    return order, starts
+    last_bit: dict[int, int] = {}  # closed row -> bit of its latest vertex
+    previous: list[int] = []
+    for v, row in enumerate(closed):
+        previous.append(last_bit.get(row, 0))
+        last_bit[row] = 1 << v
+    ends = [1 << u | 1 << v for u, v in edges]
+    needs = [(previous[u] | previous[v]) & ~ends[e] for e, (u, v) in enumerate(edges)]
+    return ends, needs
 
 
 def _sets_touching_front(
     pool: _DominatingPool,
-    slots: Sequence[int],
-    firsts: Sequence[int],
+    ends: Sequence[int],
+    needs: Sequence[int],
     k: int,
-    slot_touch: list[int],
     deadline: float | None,
 ) -> Iterator[tuple[int, tuple[int, ...]]]:
-    """Yield ``(mask, edge indices)`` for each k-set in the scan that touches
-    the pool's front member when the scan reaches it.
+    """Yield ``(mask, edge indices)`` for each k-set of edge indices, in
+    lexicographic order, that touches a prefix of every twin class and
+    touches the pool's front member when the scan reaches it.
 
-    The scan lays edge ``slots[q]`` at position ``q`` and runs over the
-    position sets ``q1 < ... < qk`` with ``q1`` in ``firsts``, in
-    lexicographic order, as a (k-1)-position prefix plus a last position.
-    A set that misses the front member leaves it dominating, so it is
-    refuted without a visit: while the prefix misses the front member, a
-    bit scan of that member's touch mask over positions (``slot_touch``)
-    jumps to the next last position that touches it.  The front is read
+    Each set is a (k-1)-edge prefix plus a last edge, and its first edge
+    needs nothing (``_twin_needs``).  ``missing`` holds the vertices the
+    prefix needs but does not touch; a last edge is kept iff it needs only
+    touched vertices and touches every missing one, so a prefix missing
+    more than two vertices has no last edge.  A set that misses the front
+    member leaves it dominating, so it is refuted without a visit: while
+    the prefix misses the front member, a bit scan of that member's touch
+    mask jumps to the next last edge that touches it.  The front is read
     afresh after every yield, since the caller's pool test may move it.
     Prefixes and visited sets both count as steps, and the deadline is
     checked at the first prefix after every 2,048 steps.
     """
-    n = len(slots)
+    n = len(ends)
     touch = pool.touch
-    edge_at = slots.__getitem__
-    if k == 1:  # the empty prefix; the set's one position must be in firsts
+    firsts = [e for e in range(n) if not needs[e]]
+    if k == 1:
         prefixes: Iterable[tuple[int, ...]] = [()]
-        allowed = 0
-        for q in firsts:
-            allowed |= 1 << q
-    else:  # any position after the prefix may be last
+    else:
         prefixes = chain.from_iterable(
             map((p,).__add__, combinations(range(p + 1, n), k - 2)) for p in firsts
         )
-        allowed = (1 << n) - 1
     front = -1
     steps = 0
     check_at = 2048
@@ -206,25 +195,30 @@ def _sets_touching_front(
             if time.monotonic() > deadline:
                 raise TimeBudgetExceeded(f"deadline hit after {steps} scan steps at size {k}")
             check_at = steps + 2048
-        pedges = tuple(map(edge_at, prefix))
-        pmask = 0
-        for e in pedges:
+        pmask = vmask = need = 0
+        for e in prefix:
             pmask |= 1 << e
-        q = prefix[-1] + 1 if prefix else 0  # the next last position
+            vmask |= ends[e]
+            need |= needs[e]
+        missing = need & ~vmask
+        if missing.bit_count() > 2:
+            continue
+        q = prefix[-1] + 1 if prefix else 0  # the next last edge
         while q < n:
             if pool.front != front:
                 front = pool.front
                 front_touch = touch[front]
-                front_slots = slot_touch[front] & allowed
             if not pmask & front_touch:
-                ahead = front_slots >> q
+                ahead = front_touch >> q
                 if not ahead:
                     break
                 q += (ahead & -ahead).bit_length() - 1
-            e = slots[q]
+            e = q
             q += 1
+            if needs[e] & ~vmask or missing & ~ends[e]:
+                continue
             steps += 1
-            yield pmask | 1 << e, pedges + (e,)
+            yield pmask | 1 << e, prefix + (e,)
 
 
 def find_bondage_set_up_to(
@@ -233,22 +227,25 @@ def find_bondage_set_up_to(
     """Smallest (then lexicographically least) bondage set of size <= max_size,
     or None once every size up to max_size has been refuted.
 
-    Each size is refuted over one representative per twin-symmetry class:
-    with the edges laid out orbit by orbit (``_twin_orbits``), only the sets
-    whose least edge opens its orbit are scanned.  Any other set is mapped
-    onto one of these by twin swaps, which preserve the domination number,
-    by moving its least edge to the first edge of that edge's orbit (the
-    swaps keep every edge in its own orbit, so none lands earlier).  At the
-    first size where a representative raises gamma, a plain lexicographic
-    scan of that size alone returns the lexicographically least witness.
+    The sizes are scanned in turn, each in lexicographic order of edge
+    indices, over the sets that touch a prefix of every closed-twin class
+    (``_sets_touching_front``).  Twin swaps preserve the domination number,
+    and squeezing a set's touched members of each class onto the class
+    prefix, in their own order, lowers some vertex and raises none: every
+    edge maps to an edge no later, and one to an earlier edge, so the image
+    is lexicographically smaller.  The least set's first edge needs nothing
+    either, or swapping one end with that end's previous twin would move it
+    earlier.  The least member of every symmetry class is therefore
+    scanned, and as the least bondage set of a size is the least of its
+    class, the first bondage set met is the witness.
 
-    Both scans skip in bulk the sets that miss the pool's front member
-    (``_sets_touching_front``): that member still dominates after such a
-    removal, so only the sets that touch it are visited.  The pool only
-    filters; the exact solver has the final word on survivors.
-    ``deadline`` is a ``time.monotonic()`` instant (None: unlimited), checked
-    on entry, every 2,048 scan steps and inside each gamma and solver call;
-    passing it raises ``TimeBudgetExceeded``.
+    The scan skips in bulk the sets that miss the pool's front member: that
+    member still dominates after such a removal, so only the sets that
+    touch it are visited.  The pool only filters; the exact solver has the
+    final word on survivors.  ``deadline`` is a ``time.monotonic()``
+    instant (None: unlimited), checked on entry, every 2,048 scan steps and
+    inside each gamma and solver call; passing it raises
+    ``TimeBudgetExceeded``.
     """
     _check_entry(deadline)
     edges = graph.edges()
@@ -257,36 +254,27 @@ def find_bondage_set_up_to(
     closed = graph.closed_rows()
     full = graph.full_mask
     gamma = gamma_value(graph, deadline=deadline)
-    order, starts = _twin_orbits(closed, edges)
-    pool = _DominatingPool(graph, edges, order)
+    ends, needs = _twin_needs(closed, edges)
+    pool = _DominatingPool(graph, edges)
     pool.add(_cover_within(closed, full, gamma, deadline))
-    n_edges = len(edges)
-    plain = range(n_edges)
     survives = pool.some_member_survives
-    for k in range(1, min(max_size, n_edges) + 1):
-        # the plain scan runs only once a representative of this size raised gamma
-        for slots, firsts, slot_touch in (
-            (order, starts, pool.slot_touch),
-            (plain, plain, pool.touch),
-        ):
-            scan = _sets_touching_front(pool, slots, firsts, k, slot_touch, deadline)
-            for zmask, combo in scan:
-                if survives(zmask, combo):
-                    continue
-                # no pooled set survives; ask the exact solver
-                damaged = closed.copy()
-                for e in combo:
-                    u, v = edges[e]
-                    damaged[u] &= ~(1 << v)
-                    damaged[v] &= ~(1 << u)
-                cover = _cover_within(damaged, full, gamma, deadline)
-                if cover is None:
-                    break
-                pool.add(cover)
-            else:
-                break  # every candidate refuted: size k holds
-            if slots is plain:  # the witness scan met the least bondage set
-                return tuple(edges[e] for e in combo)
+    scan = chain.from_iterable(
+        _sets_touching_front(pool, ends, needs, k, deadline)
+        for k in range(1, min(max_size, len(edges)) + 1)
+    )
+    for zmask, combo in scan:
+        if survives(zmask, combo):
+            continue
+        # no pooled set survives; ask the exact solver
+        damaged = closed.copy()
+        for e in combo:
+            u, v = edges[e]
+            damaged[u] &= ~(1 << v)
+            damaged[v] &= ~(1 << u)
+        cover = _cover_within(damaged, full, gamma, deadline)
+        if cover is None:
+            return tuple(edges[e] for e in combo)
+        pool.add(cover)
     return None
 
 
@@ -298,10 +286,10 @@ def bondage_number(
 ) -> BondageResult:
     """Exact bondage number with a minimum witness.
 
-    Iterative deepening over subset sizes, each refuted over twin-symmetry
-    representatives; the answer size is then scanned in lexicographic order
-    over the sorted edge list, so the witness is the lexicographically least
-    minimum bondage set.  ``deadline`` is as in ``find_bondage_set_up_to``.
+    Iterative deepening over subset sizes in one lexicographic scan of the
+    sorted edge list (``find_bondage_set_up_to``), so the witness is the
+    lexicographically least minimum bondage set.  ``deadline`` is as in
+    ``find_bondage_set_up_to``.
     """
     edges = graph.edges()
     if not edges:

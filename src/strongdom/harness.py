@@ -330,7 +330,9 @@ def verify_instance(
                 prescribed = prescribed_bondage_set(spec, built)
             if prescribed is not None:
                 method = "witness+refutation"
-                upper_ok = len(prescribed) == formula and is_bondage_set(graph, prescribed)
+                upper_ok = len(prescribed) == formula and is_bondage_set(
+                    graph, prescribed, deadline=deadline
+                )
                 counterexample = find_bondage_set_up_to(graph, formula - 1, deadline=deadline)
                 if counterexample is not None:
                     computed, witness = len(counterexample), counterexample

@@ -1,18 +1,43 @@
 """Per-candidate reference for ``bondage.find_bondage_set_up_to``.
 
 The same scan as the package's, written as one loop turn per candidate edge
-set: each representative (then each plain lexicographic) set is built in
-full and tested against the pool's front member before anything else.  The
-package skips the sets that miss the front member in bulk, so its pool tests,
-solver calls and witnesses must equal this loop's.
+set: every k-set of edge indices is built in full, in ``combinations`` order,
+and put through the twin-prefix test, then the pool's front member, then the
+pool test, then the exact solver.  The twin classes are worked out here from
+the closed rows.  The package skips the sets that fail either of the first
+two tests in bulk, so its pool tests, solver calls and witnesses must equal
+this loop's.
 """
 
 from __future__ import annotations
 
-from itertools import chain, combinations
+from itertools import combinations
 
 from strongdom import bondage
 from strongdom.domination import _cover_within, gamma_value
+
+
+def _twin_prefix_test(graph, edges):
+    """A predicate on edge-index tuples: the first edge is the least edge
+    joining its pair of twin classes, and the touched members of every twin
+    class are that class's first members."""
+    classes = {}
+    for v, row in enumerate(graph.closed_rows()):
+        classes.setdefault(row, []).append(v)
+    members = {v: cls for cls in classes.values() for v in cls}
+    least_joining = {}
+    for e, (u, v) in enumerate(edges):
+        pair = frozenset((members[u][0], members[v][0]))
+        least_joining.setdefault(pair, e)
+
+    def test(combo):
+        u, v = edges[combo[0]]
+        if least_joining[frozenset((members[u][0], members[v][0]))] != combo[0]:
+            return False
+        touched = {w for e in combo for w in edges[e]}
+        return all(x in touched for w in touched for x in members[w] if x < w)
+
+    return test
 
 
 def reference_find_bondage_set_up_to(graph, max_size):
@@ -22,41 +47,31 @@ def reference_find_bondage_set_up_to(graph, max_size):
     closed = graph.closed_rows()
     full = graph.full_mask
     gamma = gamma_value(graph)
-    order, starts = bondage._twin_orbits(closed, edges)
-    pool = bondage._DominatingPool(graph, edges, order)
+    twin_prefix = _twin_prefix_test(graph, edges)
+    pool = bondage._DominatingPool(graph, edges)
     pool.add(_cover_within(closed, full, gamma))
     n_edges = len(edges)
     bit = [1 << e for e in range(n_edges)]
     touch = pool.touch
     survives = pool.some_member_survives
     for k in range(1, min(max_size, n_edges) + 1):
-        representatives = chain.from_iterable(
-            map((order[p],).__add__, combinations(order[p + 1 :], k - 1)) for p in starts
-        )
-        for witness_scan, candidates in enumerate(
-            (representatives, combinations(range(n_edges), k))
-        ):
-            front_touch = touch[pool.front]
-            for combo in candidates:
-                zmask = 0
-                for e in combo:
-                    zmask |= bit[e]
-                if zmask & front_touch == 0:
-                    continue
-                if survives(zmask, combo):
-                    front_touch = touch[pool.front]
-                    continue
-                damaged = closed.copy()
-                for e in combo:
-                    u, v = edges[e]
-                    damaged[u] &= ~(1 << v)
-                    damaged[v] &= ~(1 << u)
-                cover = _cover_within(damaged, full, gamma)
-                if cover is None:
-                    break
-                pool.add(cover)
-            else:
-                break
-            if witness_scan:
+        for combo in combinations(range(n_edges), k):
+            if not twin_prefix(combo):
+                continue
+            zmask = 0
+            for e in combo:
+                zmask |= bit[e]
+            if zmask & touch[pool.front] == 0:
+                continue
+            if survives(zmask, combo):
+                continue
+            damaged = closed.copy()
+            for e in combo:
+                u, v = edges[e]
+                damaged[u] &= ~(1 << v)
+                damaged[v] &= ~(1 << u)
+            cover = _cover_within(damaged, full, gamma)
+            if cover is None:
                 return tuple(edges[e] for e in combo)
+            pool.add(cover)
     return None

@@ -11,7 +11,7 @@ from strongdom import bondage
 from strongdom.bondage import (
     TimeBudgetExceeded,
     _DominatingPool,
-    _twin_orbits,
+    _twin_needs,
     bondage_number,
     column_cover_edges,
     covering_matching,
@@ -22,7 +22,7 @@ from strongdom.bondage import (
     rung_edges,
 )
 from strongdom.domination import enumerate_min_dominating_sets, gamma_value
-from strongdom.formulas import bondage_complete, bondage_path
+from strongdom.formulas import bondage_complete, bondage_km_pn, bondage_path
 from strongdom.graphs import (
     Graph,
     complete_graph,
@@ -228,7 +228,7 @@ def test_pool_filter_rejections_are_sound():
     prod, _ = strong_product(complete_graph(3), path_graph(3))
     edges = prod.edges()
     gamma = gamma_value(prod)
-    pool = _DominatingPool(prod, edges, range(len(edges)))
+    pool = _DominatingPool(prod, edges)
     for dset in enumerate_min_dominating_sets(prod):
         pool.add(sum(1 << v for v in dset))
     rng = random.Random(3)
@@ -264,31 +264,25 @@ def test_twin_orbit_scan_matches_brute_force(g):
     assert find_bondage_set_up_to(g, b + 1) == witness
 
 
-def _orbit_edges(g):
-    edges = g.edges()
-    order, starts = _twin_orbits(g.closed_rows(), edges)
-    return [
-        [edges[e] for e in order[p:q]] for p, q in zip(starts, starts[1:] + [len(order)])
-    ]
-
-
-def test_twin_orbit_joins_both_orientations_of_a_class_pair():
-    # 0 and 5 are closed twins; vertex 3's class gets a higher id than theirs,
-    # so (0, 3) and (3, 5) meet the pair of classes from opposite ends
+def test_twin_needs_join_both_orientations_of_a_class_pair():
+    # 0 and 5 are closed twins, as are 1 and 2; (0, 3) and (3, 5) join the
+    # same pair of classes from opposite ends, and only the later one needs 0
     g = Graph.from_edges(6, [(0, 3), (0, 5), (3, 5), (1, 2), (3, 4)])
-    orbits = _orbit_edges(g)
-    assert orbits[0] == [(0, 3), (3, 5)]
-    assert sorted(map(len, orbits), reverse=True) == [2, 1, 1, 1]
-    assert find_bondage_set_up_to(g, len(g.edges())) == brute_first_bondage_witness(g)
+    edges = g.edges()
+    ends, needs = _twin_needs(g.closed_rows(), edges)
+    assert ends == [1 << u | 1 << v for u, v in edges]
+    assert dict(zip(edges, needs)) == {(0, 3): 0, (0, 5): 0, (1, 2): 0, (3, 4): 0, (3, 5): 1}
+    assert find_bondage_set_up_to(g, len(edges)) == brute_first_bondage_witness(g)
 
 
-def test_km_pn_orbits_are_column_pairs():
+def test_km_pn_edges_needing_nothing_are_one_per_column_pair():
     prod, idx = strong_product(complete_graph(3), path_graph(4))
-    orbits = _orbit_edges(prod)
-    assert [len(o) for o in orbits] == [9, 9, 9, 3, 3, 3, 3]
-    for orbit in orbits:
-        columns = {tuple(sorted((idx.pair(u)[1], idx.pair(v)[1]))) for u, v in orbit}
-        assert len(columns) == 1
+    edges = prod.edges()
+    _, needs = _twin_needs(prod.closed_rows(), edges)
+    leads = [e for e, need in enumerate(needs) if not need]
+    assert leads == [0, 1, 5, 7, 12, 14, 20]
+    columns = [tuple(sorted(idx.pair(w)[1] for w in edges[e])) for e in leads]
+    assert sorted(columns) == [(0, 0), (0, 1), (1, 1), (1, 2), (2, 2), (2, 3), (3, 3)]
 
 
 def test_frontier_refutation_of_k12():
@@ -325,6 +319,15 @@ def test_bulk_skip_matches_per_candidate_scan(g):
     size = len(g.edges())
     expected = _recorded_scan(reference_find_bondage_set_up_to, g, size)
     assert _recorded_scan(find_bondage_set_up_to, g, size) == expected
+
+
+@pytest.mark.parametrize("m, n", [(3, 4), (2, 5), (4, 5)])
+def test_no_edge_set_is_pool_tested_twice(m, n):
+    prod, _ = strong_product(complete_graph(m), path_graph(n))
+    witness, log = _recorded_scan(find_bondage_set_up_to, prod, len(prod.edges()))
+    assert len(witness) == bondage_km_pn(m, n)
+    tested = [entry[0] for entry in log if isinstance(entry, tuple)]
+    assert len(set(tested)) == len(tested)
 
 
 def test_deadline_fires_inside_a_long_refutation():

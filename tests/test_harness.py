@@ -121,6 +121,14 @@ def test_verify_gamma_budget_skip():
     assert entry.elapsed_ms < 2000
 
 
+def test_verify_bondage_budget_reaches_the_witness_check():
+    # checking the prescribed bondage set alone runs for tens of seconds here
+    entry = verify_instance(InstanceSpec("km-pn", m=3, n=24), "bondage", budget_seconds=0.5)
+    assert entry.skipped and entry.note.startswith("skipped: ")
+    assert entry.computed_value is None
+    assert entry.elapsed_ms < 2000
+
+
 def test_verify_budget_must_be_positive():
     spec = InstanceSpec("km-pn", m=2, n=3)
     for budget in (0, -1.0):
