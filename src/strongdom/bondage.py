@@ -15,12 +15,13 @@ candidate edge set that leaves some pool member dominating cannot have raised
 the domination number, so the vast majority of candidates are rejected by a
 couple of integer operations; survivors are confirmed with the exact solver,
 which keeps the search exhaustive and exact regardless of pool quality.
-Most candidates miss the pool's front member (the member last found
-untouched by a candidate) altogether, so they are skipped in bulk: each
-candidate is a prefix plus a last edge, and while the prefix misses the
-front member a bit scan of that member's touched edges jumps straight to
-the next last edge that touches it.  Only the candidates that touch the
-front member are visited.
+The scan is a depth-first search that grows each candidate edge by edge and
+cuts a prefix once no completion can touch every twin it needs.  Most
+candidates miss the pool's front member (the member last found untouched by
+a candidate) altogether, so they are skipped in bulk: the last edges of a
+prefix are one bit mask, narrowed to the front member's touched edges while
+the prefix misses that member.  Only the candidates that touch the front
+member are visited.
 
 The pool grows lazily, as in the implicit hitting set loop of Chandrasekaran,
 Karp, Moreno-Centeno and Vempala (SODA 2011): it starts from one minimum
@@ -33,7 +34,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from itertools import chain, combinations
+from itertools import chain
 from typing import Iterable, Iterator, Sequence
 
 from .domination import TimeBudgetExceeded, _check_entry, _cover_within, gamma_value
@@ -158,6 +159,7 @@ def _sets_touching_front(
     pool: _DominatingPool,
     ends: Sequence[int],
     needs: Sequence[int],
+    incident: Sequence[int],
     k: int,
     deadline: float | None,
 ) -> Iterator[tuple[int, tuple[int, ...]]]:
@@ -165,60 +167,85 @@ def _sets_touching_front(
     lexicographic order, that touches a prefix of every twin class and
     touches the pool's front member when the scan reaches it.
 
-    Each set is a (k-1)-edge prefix plus a last edge, and its first edge
-    needs nothing (``_twin_needs``).  ``missing`` holds the vertices the
-    prefix needs but does not touch; a last edge is kept iff it needs only
-    touched vertices and touches every missing one, so a prefix missing
-    more than two vertices has no last edge.  A set that misses the front
-    member leaves it dominating, so it is refuted without a visit: while
-    the prefix misses the front member, a bit scan of that member's touch
-    mask jumps to the next last edge that touches it.  The front is read
+    A depth-first search grows each set edge by edge in increasing index;
+    its first edge needs nothing (``_twin_needs``).  A prefix keeps its edge
+    mask, the vertices it touches and ``missing``, the vertices it needs
+    but does not touch.  Each edge still to come touches at most two
+    vertices, so a prefix of j edges missing more than 2(k - j) vertices
+    has no completion and is cut, with everything below it.  A kept set
+    needs only vertices it touches, so its last edge touches every vertex
+    the (k-1)-edge prefix misses: the last edges to try are one bit mask,
+    the edges after the prefix ANDed with each missing vertex's
+    ``incident`` mask, and each is tested only for needing an untouched
+    vertex.  A set that misses the front member leaves it dominating, so it
+    is refuted without a visit: while the prefix misses the front member,
+    that mask is ANDed with the member's touch mask too.  The front is read
     afresh after every yield, since the caller's pool test may move it.
-    Prefixes and visited sets both count as steps, and the deadline is
-    checked at the first prefix after every 2,048 steps.
+    Prefix edges tried and visited sets both count as steps, and the
+    deadline is checked at the first prefix edge after every 2,048 steps.
     """
     n = len(ends)
     touch = pool.touch
-    firsts = [e for e in range(n) if not needs[e]]
-    if k == 1:
-        prefixes: Iterable[tuple[int, ...]] = [()]
-    else:
-        prefixes = chain.from_iterable(
-            map((p,).__add__, combinations(range(p + 1, n), k - 2)) for p in firsts
-        )
+    every = (1 << n) - 1
+    # state of the prefix holding j edges: edge mask, touched, missing
+    pmasks = [0] * k
+    vmasks = [0] * k
+    missings = [0] * k
+    prefix: list[int] = []
+    j = 0  # edges in the prefix
+    e = 0  # next edge to try at position j
     front = -1
     steps = 0
     check_at = 2048
-    for prefix in prefixes:
-        steps += 1
-        if deadline is not None and steps >= check_at:
-            if time.monotonic() > deadline:
-                raise TimeBudgetExceeded(f"deadline hit after {steps} scan steps at size {k}")
-            check_at = steps + 2048
-        pmask = vmask = need = 0
-        for e in prefix:
-            pmask |= 1 << e
-            vmask |= ends[e]
-            need |= needs[e]
-        missing = need & ~vmask
-        if missing.bit_count() > 2:
-            continue
-        q = prefix[-1] + 1 if prefix else 0  # the next last edge
-        while q < n:
+    while True:
+        if j == k - 1:
+            pmask = pmasks[j]
+            vmask = vmasks[j]
+            missing = missings[j]
+            lasts = every >> e << e
+            while missing:
+                low = missing & -missing
+                lasts &= incident[low.bit_length() - 1]
+                missing ^= low
             if pool.front != front:
                 front = pool.front
                 front_touch = touch[front]
-            if not pmask & front_touch:
-                ahead = front_touch >> q
-                if not ahead:
-                    break
-                q += (ahead & -ahead).bit_length() - 1
-            e = q
-            q += 1
-            if needs[e] & ~vmask or missing & ~ends[e]:
-                continue
+            ahead = lasts if pmask & front_touch else lasts & front_touch
+            while ahead:
+                low = ahead & -ahead
+                ahead ^= low
+                last = low.bit_length() - 1
+                if needs[last] & ~vmask:
+                    continue
+                steps += 1
+                yield pmask | low, (*prefix, last)
+                if pool.front != front:
+                    front = pool.front
+                    front_touch = touch[front]
+                    ahead = lasts & -(low << 1)
+                    if not pmask & front_touch:
+                        ahead &= front_touch
+        elif e < n - (k - 1 - j):  # room for the edges still to come
             steps += 1
-            yield pmask | 1 << e, prefix + (e,)
+            if deadline is not None and steps >= check_at:
+                if time.monotonic() > deadline:
+                    raise TimeBudgetExceeded(f"deadline hit after {steps} scan steps at size {k}")
+                check_at = steps + 2048
+            if j or not needs[e]:
+                vmask = vmasks[j] | ends[e]
+                missing = (missings[j] | needs[e]) & ~vmask
+                if missing.bit_count() <= 2 * (k - 1 - j):
+                    pmasks[j + 1] = pmasks[j] | 1 << e
+                    vmasks[j + 1] = vmask
+                    missings[j + 1] = missing
+                    prefix.append(e)
+                    j += 1
+            e += 1
+            continue
+        if not j:
+            return
+        j -= 1
+        e = prefix.pop() + 1
 
 
 def find_bondage_set_up_to(
@@ -229,23 +256,26 @@ def find_bondage_set_up_to(
 
     The sizes are scanned in turn, each in lexicographic order of edge
     indices, over the sets that touch a prefix of every closed-twin class
-    (``_sets_touching_front``).  Twin swaps preserve the domination number,
-    and squeezing a set's touched members of each class onto the class
-    prefix, in their own order, lowers some vertex and raises none: every
-    edge maps to an edge no later, and one to an earlier edge, so the image
-    is lexicographically smaller.  The least set's first edge needs nothing
-    either, or swapping one end with that end's previous twin would move it
-    earlier.  The least member of every symmetry class is therefore
-    scanned, and as the least bondage set of a size is the least of its
-    class, the first bondage set met is the witness.
+    (``_sets_touching_front``, a depth-first search that cuts a j-edge
+    prefix needing more than 2(k - j) untouched vertices).  Twin swaps
+    preserve the domination number, and squeezing a set's touched members of
+    each class onto the class prefix, in their own order, lowers some vertex
+    and raises none: every edge maps to an edge no later, and one to an
+    earlier edge, so the image is lexicographically smaller.  The least
+    set's first edge needs nothing either, or swapping one end with that
+    end's previous twin would move it earlier.  The least member of every
+    symmetry class is therefore scanned, and as the least bondage set of a
+    size is the least of its class, the first bondage set met is the
+    witness.
 
     The scan skips in bulk the sets that miss the pool's front member: that
-    member still dominates after such a removal, so only the sets that
-    touch it are visited.  The pool only filters; the exact solver has the
-    final word on survivors.  ``deadline`` is a ``time.monotonic()``
-    instant (None: unlimited), checked on entry, every 2,048 scan steps and
-    inside each gamma and solver call; passing it raises
-    ``TimeBudgetExceeded``.
+    member still dominates after such a removal, so only the sets that touch
+    it are visited.  The per-vertex ``incident`` edge masks the scan narrows
+    last edges by are built once per call.  The pool only filters; the exact
+    solver has the final word on survivors.  ``deadline`` is a
+    ``time.monotonic()`` instant (None: unlimited), checked on entry, every
+    2,048 scan steps and inside each gamma and solver call; passing it
+    raises ``TimeBudgetExceeded``.
     """
     _check_entry(deadline)
     edges = graph.edges()
@@ -255,11 +285,15 @@ def find_bondage_set_up_to(
     full = graph.full_mask
     gamma = gamma_value(graph, deadline=deadline)
     ends, needs = _twin_needs(closed, edges)
+    incident = [0] * graph.order
+    for e, (u, v) in enumerate(edges):
+        incident[u] |= 1 << e
+        incident[v] |= 1 << e
     pool = _DominatingPool(graph, edges)
     pool.add(_cover_within(closed, full, gamma, deadline))
     survives = pool.some_member_survives
     scan = chain.from_iterable(
-        _sets_touching_front(pool, ends, needs, k, deadline)
+        _sets_touching_front(pool, ends, needs, incident, k, deadline)
         for k in range(1, min(max_size, len(edges)) + 1)
     )
     for zmask, combo in scan:

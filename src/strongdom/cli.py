@@ -2,8 +2,8 @@
 
 Subcommands: gamma, bondage, verify, sweep, mds-check, product.  Range flags
 on sweep and mds-check accept "3", "1,2,5", or "2..7".  Exit code is 0 iff
-every non-skipped report entry matches; a command that cannot finish prints
-one "skipped: ..." or "error: ..." line on stderr and exits 1.
+every report entry matches and none was skipped; a command that cannot
+finish prints one "skipped: ..." or "error: ..." line on stderr and exits 1.
 """
 
 from __future__ import annotations
@@ -124,13 +124,13 @@ def _ranged_instances(args) -> list[InstanceSpec]:
 def _emit(report, as_json: bool) -> int:
     fmt = "json" if as_json else "text-table"
     sys.stdout.write(emit_report(report, fmt))
-    return 0 if report.all_match() else 1
+    return 0 if report.all_match() and not report.skipped else 1
 
 
 def _cmd_gamma(args) -> int:
     spec = _single_instance(args)
     built = build_instance(spec)
-    result = domination_number(built.graph)
+    result = domination_number(built.graph, deadline=_deadline(args.budget_seconds))
     if args.json:
         print(
             json.dumps(
@@ -220,6 +220,7 @@ def main(argv: list[str] | None = None) -> int:
 
     p = sub.add_parser("gamma", help="exact domination number of one instance")
     _add_instance_flags(p, ranged=False)
+    p.add_argument("--budget-seconds", type=_positive_seconds, help="wall budget")
     p.add_argument("--json", action="store_true", help="emit JSON")
     p.set_defaults(func=_cmd_gamma)
 

@@ -21,7 +21,7 @@ from strongdom.bondage import (
     pendant_bondage_set,
     rung_edges,
 )
-from strongdom.domination import enumerate_min_dominating_sets, gamma_value
+from strongdom.domination import _cover_within, enumerate_min_dominating_sets, gamma_value
 from strongdom.formulas import bondage_complete, bondage_km_pn, bondage_path
 from strongdom.graphs import (
     Graph,
@@ -32,7 +32,7 @@ from strongdom.graphs import (
 )
 
 from brute import brute_bondage, brute_first_bondage_witness
-from reference_scan import reference_find_bondage_set_up_to
+from reference_scan import _twin_prefix_test, reference_find_bondage_set_up_to
 
 
 @st.composite
@@ -289,6 +289,51 @@ def test_frontier_refutation_of_k12():
     # K_6 x P_2 is K_12, whose edges form one orbit: b = 6, refuted at 5
     prod, _ = strong_product(complete_graph(6), path_graph(2))
     assert find_bondage_set_up_to(prod, 5) is None
+
+
+def _brute_sets_touching(graph, touch, k):
+    """Every k-set of edge indices, in ``combinations`` order, that passes
+    the twin-prefix test of ``reference_scan`` and meets the edge mask
+    ``touch``.  A set passing that test starts with an edge that passes it
+    alone, so only such first edges are tried."""
+    n_edges = len(graph.edges())
+    twin_prefix = _twin_prefix_test(graph, graph.edges())
+    found = []
+    for first in filter(lambda e: twin_prefix((e,)), range(n_edges)):
+        for rest in combinations(range(first + 1, n_edges), k - 1):
+            combo = (first, *rest)
+            mask = sum(1 << e for e in combo)
+            if mask & touch and twin_prefix(combo):
+                found.append((mask, combo))
+    return found
+
+
+def _assert_scan_with_pinned_front_is_brute_force(graph, sizes):
+    """With a one-member pool the front stays at member 0, so the scan must
+    yield exactly the sets the brute-force filter keeps, in its order."""
+    edges = graph.edges()
+    closed = graph.closed_rows()
+    member = _cover_within(closed, graph.full_mask, gamma_value(graph))
+    pool = _DominatingPool(graph, edges)
+    pool.add(member)
+    ends, needs = _twin_needs(closed, edges)
+    incident = [sum(1 << e for e, edge in enumerate(edges) if v in edge) for v in range(graph.order)]
+    for k in sizes:
+        scanned = list(bondage._sets_touching_front(pool, ends, needs, incident, k, None))
+        assert scanned == _brute_sets_touching(graph, pool.touch[0], k), k
+    assert pool.front == 0
+
+
+@pytest.mark.parametrize("m, n", [(6, 2), (3, 5)])
+def test_depth_first_scan_matches_brute_force_filter(m, n):
+    prod, _ = strong_product(complete_graph(m), path_graph(n))
+    _assert_scan_with_pinned_front_is_brute_force(prod, range(1, 6))
+
+
+@given(graphs_with_planted_twins())
+@settings(max_examples=40, deadline=None)
+def test_depth_first_scan_matches_brute_force_filter_on_planted_twins(g):
+    _assert_scan_with_pinned_front_is_brute_force(g, range(1, min(5, len(g.edges())) + 1))
 
 
 def _recorded_scan(search, graph, size):

@@ -47,9 +47,7 @@ def test_bad_search_flags_are_usage_errors(capsys, flags):
     assert exc.value.code == 2
 
 
-@pytest.mark.parametrize(
-    "flags", [("--max-size", "1"), ("--full-search",), ("--budget-seconds", "1")]
-)
+@pytest.mark.parametrize("flags", [("--max-size", "1"), ("--full-search",)])
 def test_gamma_rejects_search_flags(capsys, flags):
     with pytest.raises(SystemExit) as exc:
         main(["gamma", "--family", "path", "--n", "4", *flags])
@@ -96,6 +94,11 @@ def test_gamma_rejects_search_flags(capsys, flags):
             )
             for command in ("gamma", "bondage", "verify", "product")
         ),
+        (
+            ("gamma", "--family", "km-pn", "--m", "3", "--n", "27")
+            + ("--budget-seconds", "0.05"),
+            "skipped: ",
+        ),
     ],
 )
 def test_bondage_failure_is_one_line(capsys, flags, prefix):
@@ -121,6 +124,14 @@ def test_verify_command(capsys):
     payload = json.loads(out)
     assert payload["summary"]["fail"] == 0
     assert len(payload["entries"]) == 2
+
+
+@pytest.mark.parametrize("command", ["verify", "sweep"])
+def test_skipped_entry_exits_1(capsys, command):
+    flags = (command, "--family", "km-pn", "--m", "4", "--n", "7", "--quantity", "bondage")
+    code, out = run(capsys, *flags, "--budget-seconds", "0.05", "--json")
+    assert code == 1
+    assert json.loads(out)["summary"] == {"pass": 0, "fail": 0, "skipped": 1}
 
 
 def test_verify_config_records_the_budget(capsys):
