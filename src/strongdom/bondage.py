@@ -1,5 +1,6 @@
-"""Exact bondage numbers by iterative-deepening edge-subset search, plus the
-constructive edge sets that certify upper bounds on products.
+"""Exact bondage numbers by iterative-deepening edge-subset search.  The
+constructive edge sets that certify the paper's upper bounds are built by
+``harness.prescribed_bondage_set``.
 
 Each size is scanned once, in lexicographic order of edge indices, over
 only the edge sets that touch a prefix of every closed-twin class (closed
@@ -38,7 +39,7 @@ from itertools import chain
 from typing import Iterable, Iterator, Sequence
 
 from .domination import TimeBudgetExceeded, _check_entry, _cover_within, gamma_value
-from .graphs import Edge, Graph, ProductIndexing, normalize_edge, remove_edges
+from .graphs import Edge, Graph, remove_edges
 
 
 @dataclass(frozen=True)
@@ -57,15 +58,6 @@ def is_bondage_set(
     damaged = remove_edges(graph, edges).closed_rows()
     gamma = gamma_value(graph, deadline=deadline)
     return _cover_within(damaged, graph.full_mask, gamma, deadline) is None
-
-
-def _deadline(budget_seconds: float | None) -> float | None:
-    """Monotonic-clock deadline for a wall budget in seconds; None is unlimited."""
-    if budget_seconds is None:
-        return None
-    if not budget_seconds > 0:
-        raise ValueError(f"budget must be positive, got {budget_seconds}")
-    return time.monotonic() + budget_seconds
 
 
 class _DominatingPool:
@@ -334,65 +326,3 @@ def bondage_number(
         raise ValueError(f"no bondage set of size <= {limit} exists")
     return BondageResult(len(witness), witness)
 
-
-def covering_matching(vertices: Sequence[int]) -> tuple[Edge, ...]:
-    """Pairs of consecutive entries touching every vertex of the sequence.
-
-    A perfect matching for an even count; for an odd count the final pair
-    overlaps the last matched vertex, giving ceil(len/2) pairs in total.
-    """
-    verts = list(vertices)
-    if len(verts) < 2:
-        raise ValueError("need at least two vertices to cover")
-    pairs = [normalize_edge(verts[t], verts[t + 1]) for t in range(0, len(verts) - 1, 2)]
-    if len(verts) % 2:
-        pairs.append(normalize_edge(verts[-2], verts[-1]))
-    return tuple(pairs)
-
-
-def column_cover_edges(idx: ProductIndexing, v: int) -> tuple[Edge, ...]:
-    """Edges inside the column over right-factor vertex ``v`` that touch every
-    vertex of the column: ceil(m/2) of them, for a left factor of order m."""
-    if idx.left_order < 2:
-        raise ValueError("a column cover needs a left factor with at least two vertices")
-    return covering_matching(idx.column(v))
-
-
-def rung_edges(idx: ProductIndexing, right: Graph, x: int, y: int) -> tuple[Edge, ...]:
-    """The ``left_order`` parallel edges joining the columns over adjacent
-    right-factor vertices ``x`` and ``y``."""
-    if right.order != idx.right_order:
-        raise ValueError("right factor does not match the indexing")
-    if not right.has_edge(x, y):
-        raise ValueError(f"{x}-{y} is not an edge of the right factor")
-    n = idx.right_order
-    return tuple(
-        normalize_edge(g * n + x, g * n + y) for g in range(idx.left_order)
-    )
-
-
-def pendant_bondage_set(
-    idx: ProductIndexing, right: Graph, s0: int, t0: int | None = None
-) -> tuple[Edge, ...]:
-    """Column cover over a degree-1 right vertex plus the rungs to its
-    neighbour: ceil(3m/2) edges that form a bondage set of the product."""
-    if right.order != idx.right_order:
-        raise ValueError("right factor does not match the indexing")
-    if right.degree(s0) != 1:
-        raise ValueError(f"vertex {s0} has degree {right.degree(s0)}, expected 1")
-    neighbor = right.neighbors(s0)[0]
-    if t0 is None:
-        t0 = neighbor
-    elif t0 != neighbor:
-        raise ValueError(f"{t0} is not the neighbour of {s0}")
-    return tuple(sorted(column_cover_edges(idx, s0) + rung_edges(idx, right, s0, t0)))
-
-
-def path_bondage_edges(n: int) -> tuple[Edge, ...]:
-    """A minimum bondage set of the n-vertex path: the pendant edge, plus the
-    next edge along when n % 3 == 1."""
-    if n < 2:
-        raise ValueError("a path needs at least two vertices to have a bondage set")
-    if n % 3 == 1:
-        return ((0, 1), (1, 2))
-    return ((0, 1),)

@@ -13,8 +13,8 @@ import json
 import sys
 import time
 
-from .bondage import TimeBudgetExceeded, _deadline, bondage_number
-from .domination import domination_number
+from .bondage import bondage_number
+from .domination import TimeBudgetExceeded, _deadline, domination_number
 from .graphs import render_graph_text
 from .harness import (
     FAMILIES,

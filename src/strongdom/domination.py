@@ -38,6 +38,15 @@ def _check_entry(deadline: float | None) -> None:
         raise TimeBudgetExceeded("instance budget exhausted")
 
 
+def _deadline(budget_seconds: float | None) -> float | None:
+    """Monotonic-clock deadline for a wall budget in seconds; None is unlimited."""
+    if budget_seconds is None:
+        return None
+    if not budget_seconds > 0:
+        raise ValueError(f"budget must be positive, got {budget_seconds}")
+    return time.monotonic() + budget_seconds
+
+
 @dataclass(frozen=True)
 class GammaResult:
     value: int

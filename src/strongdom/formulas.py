@@ -7,8 +7,6 @@ is always derived on the spot, never stored.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .graphs import StarlikeSpec
 
 
@@ -63,37 +61,18 @@ def bondage_km_pn(m: int, n: int) -> int:
     return (3 * m + 1) // 2
 
 
-@dataclass(frozen=True)
-class StarlikeResidueProfile:
-    """How many branch lengths fall in each residue class mod 3."""
-
-    ones: int
-    twos: int
-    zeros: int
-
-    @property
-    def branch_count(self) -> int:
-        return self.ones + self.twos + self.zeros
-
-
-def residue_profile(spec: StarlikeSpec) -> StarlikeResidueProfile:
-    ones = sum(1 for b in spec.branches if b % 3 == 1)
-    twos = sum(1 for b in spec.branches if b % 3 == 2)
-    zeros = sum(1 for b in spec.branches if b % 3 == 0)
-    return StarlikeResidueProfile(ones, twos, zeros)
-
-
 def gamma_starlike(spec: StarlikeSpec) -> int:
     """Domination number of the starlike tree.
 
     Sum of ceil(n_i/3) over the branches, minus (ones - 1) when some branch
     length is 1 (mod 3), plus 1 when every branch length is 0 (mod 3).
     """
-    profile = residue_profile(spec)
+    residues = [b % 3 for b in spec.branches]
+    ones, twos = residues.count(1), residues.count(2)
     total = sum(_ceil3(b) for b in spec.branches)
-    if profile.ones >= 1:
-        return total - (profile.ones - 1)
-    if profile.twos >= 1:
+    if ones:
+        return total - (ones - 1)
+    if twos:
         return total
     return total + 1
 
@@ -105,9 +84,9 @@ def starlike_canonical_dominating_set(spec: StarlikeSpec) -> tuple[int, ...]:
     branch residue (positions 3, 1, 2 for residues 1, 2, 0), plus the centre
     unless some residue-2 branch already covers it.
     """
-    profile = residue_profile(spec)
+    residues = [b % 3 for b in spec.branches]
     chosen: list[int] = []
-    if profile.ones >= 1 or profile.twos == 0:
+    if residues.count(1) or not residues.count(2):
         chosen.append(spec.center)
     for i in range(1, spec.branch_count + 1):
         length = spec.branches[i - 1]

@@ -8,11 +8,14 @@ entry (method ``error``) for any other failure, so a sweep never aborts on
 one bad instance.  A wall budget becomes one monotonic deadline there, and
 the gamma and bondage searches check that deadline as they go.
 
-Two-sided bondage verification means: the family's constructive edge set is
-confirmed to raise the domination number (upper bound), and an exhaustive
-scan refutes every edge subset one smaller (lower bound).  Full search at the
-answer size is usually far costlier than refutation one below it, so the
-two-sided route is the default whenever a formula applies.
+Every generated family is built as K_m x T, a path being K_1 x P_n and a
+complete graph K_m x P_1, so one recipe over the product's columns
+(``prescribed_bondage_set``) gives each family's constructive bondage set.
+Two-sided bondage verification means: that edge set is confirmed to raise
+the domination number (upper bound), and an exhaustive scan refutes every
+edge subset one smaller (lower bound).  Full search at the answer size is
+usually far costlier than refutation one below it, so the two-sided route
+is the default whenever a formula applies.
 """
 
 from __future__ import annotations
@@ -25,19 +28,13 @@ from itertools import combinations_with_replacement
 from typing import Iterable, Sequence
 
 from ._version import __version__
-from .bondage import (
+from .bondage import bondage_number, find_bondage_set_up_to, is_bondage_set
+from .domination import (
     TimeBudgetExceeded,
     _deadline,
-    bondage_number,
-    column_cover_edges,
-    covering_matching,
-    find_bondage_set_up_to,
-    is_bondage_set,
-    path_bondage_edges,
-    pendant_bondage_set,
-    rung_edges,
+    domination_number,
+    enumerate_min_dominating_sets,
 )
-from .domination import domination_number, enumerate_min_dominating_sets
 from .formulas import (
     _ceil3,
     bondage_complete,
@@ -132,25 +129,18 @@ class InstanceSpec:
 class BuiltInstance:
     graph: Graph
     indexing: ProductIndexing | None = None
-    right: Graph | None = None
     star: StarlikeSpec | None = None
 
 
 def build_instance(spec: InstanceSpec) -> BuiltInstance:
-    if spec.family == "km-pn":
-        right = path_graph(spec.n)
-        graph, idx = strong_product(complete_graph(spec.m), right)
-        return BuiltInstance(graph, idx, right)
-    if spec.family == "km-starlike":
-        star = StarlikeSpec(spec.branches)
-        right = starlike_tree(star)
-        graph, idx = strong_product(complete_graph(spec.m), right)
-        return BuiltInstance(graph, idx, right, star)
-    if spec.family == "path":
-        return BuiltInstance(path_graph(spec.n))
-    if spec.family == "complete":
-        return BuiltInstance(complete_graph(spec.m))
-    return BuiltInstance(parse_graph_file(spec.path))
+    """The instance's graph; every generated family is built as K_m x T, a
+    path being K_1 x P_n and a complete graph K_m x P_1."""
+    if spec.family == "file":
+        return BuiltInstance(parse_graph_file(spec.path))
+    star = StarlikeSpec(spec.branches) if spec.family == "km-starlike" else None
+    right = path_graph(spec.n or 1) if star is None else starlike_tree(star)
+    graph, idx = strong_product(complete_graph(spec.m or 1), right)
+    return BuiltInstance(graph, idx, star)
 
 
 def formula_value(spec: InstanceSpec, quantity: str) -> int | None:
@@ -186,45 +176,52 @@ def formula_value(spec: InstanceSpec, quantity: str) -> int | None:
 def prescribed_bondage_set(spec: InstanceSpec, built: BuiltInstance) -> tuple[Edge, ...] | None:
     """The family's constructive bondage set certifying the upper bound.
 
-    None means no recipe applies (file graphs, mixed starlike residues, or a
+    One recipe over the columns of K_m x T: ``cover(h)`` touches every vertex
+    of column h with ceil(m/2) edges inside it (consecutive pairs, the last
+    overlapping when m is odd), and ``rungs(x, y)`` joins columns x and y
+    with m parallel edges.  On K_m x P_t with m, t >= 2 the set is cover(1),
+    rungs(0, 1), or both at the pendant column 0, as t is 0, 2 or 1 (mod 3);
+    K_m x P_1 takes cover(0), and K_1 x P_t the path's end edge, plus the
+    next one when t is 1 (mod 3).  A starlike product whose branch lengths
+    share the residue 1, 2 or 0 takes the cover of its centre, the rungs at
+    the end of branch 1 (vertices 1..n1), or both at that end.  None means
+    no recipe applies (file graphs, mixed starlike residues, or a
     single-vertex left factor on a starlike product) and the caller should
     fall back to full search.
     """
-    if spec.family == "km-pn":
-        m, n = spec.m, spec.n
-        if m == 1:
-            return path_bondage_edges(n) if n >= 2 else None
-        if n == 1:
-            return covering_matching(range(m))
-        idx = built.indexing
-        r = n % 3
-        if r == 0:
-            return column_cover_edges(idx, 1)
-        if r == 2:
-            return rung_edges(idx, built.right, 0, 1)
-        return pendant_bondage_set(idx, built.right, 0)
-    if spec.family == "km-starlike":
-        star = built.star
-        if spec.m < 2 or star.branch_count < 2:
+    idx, star = built.indexing, built.star
+    if idx is None:
+        return None
+    m, t = idx.left_order, idx.right_order
+
+    def cover(h: int) -> tuple[Edge, ...]:
+        col = idx.column(h)
+        pairs = tuple(col[i : i + 2] for i in range(0, m - 1, 2))
+        return pairs + (col[-2:],) if m % 2 else pairs
+
+    def rungs(x: int, y: int) -> tuple[Edge, ...]:
+        return tuple(zip(idx.column(x), idx.column(y)))
+
+    if star is not None:
+        if m < 2 or star.branch_count < 2 or len({b % 3 for b in star.branches}) != 1:
             return None
-        residues = {b % 3 for b in star.branches}
-        if len(residues) != 1:
-            return None
-        r = residues.pop()
-        idx = built.indexing
+        n1 = star.branches[0]
+        r = n1 % 3
         if r == 1:
-            return column_cover_edges(idx, star.center)
+            return cover(star.center)
         if r == 2:
-            n1 = star.branches[0]
-            return rung_edges(
-                idx, built.right, star.branch_vertex(1, n1 - 1), star.branch_vertex(1, n1)
-            )
-        return pendant_bondage_set(idx, built.right, star.branch_vertex(1, star.branches[0]))
-    if spec.family == "path":
-        return path_bondage_edges(spec.n) if spec.n >= 2 else None
-    if spec.family == "complete":
-        return covering_matching(range(spec.m)) if spec.m >= 2 else None
-    return None
+            return rungs(n1 - 1, n1)
+        return tuple(sorted(cover(n1) + rungs(n1 - 1, n1)))
+    if t == 1:
+        return cover(0) if m >= 2 else None
+    if m == 1:
+        return ((0, 1), (1, 2)) if t % 3 == 1 else ((0, 1),)
+    r = t % 3
+    if r == 0:
+        return cover(1)
+    if r == 2:
+        return rungs(0, 1)
+    return tuple(sorted(cover(0) + rungs(0, 1)))
 
 
 @dataclass(frozen=True)

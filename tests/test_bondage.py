@@ -13,13 +13,8 @@ from strongdom.bondage import (
     _DominatingPool,
     _twin_needs,
     bondage_number,
-    column_cover_edges,
-    covering_matching,
     find_bondage_set_up_to,
     is_bondage_set,
-    path_bondage_edges,
-    pendant_bondage_set,
-    rung_edges,
 )
 from strongdom.domination import _cover_within, enumerate_min_dominating_sets, gamma_value
 from strongdom.formulas import bondage_complete, bondage_km_pn, bondage_path
@@ -64,78 +59,6 @@ def small_graphs_with_edges(draw):
     return Graph.from_edges(order, edges)
 
 
-def test_covering_matching_shapes():
-    assert covering_matching(range(4)) == ((0, 1), (2, 3))
-    assert covering_matching(range(3)) == ((0, 1), (1, 2))
-    assert covering_matching(range(2)) == ((0, 1),)
-    for m in range(2, 9):
-        pairs = covering_matching(range(m))
-        assert len(pairs) == (m + 1) // 2
-        assert {v for e in pairs for v in e} == set(range(m))
-    with pytest.raises(ValueError):
-        covering_matching([0])
-
-
-def test_column_cover_edges():
-    _, idx = strong_product(complete_graph(4), path_graph(3))
-    cover = column_cover_edges(idx, 1)
-    assert len(cover) == 2
-    assert all(u % 3 == 1 and v % 3 == 1 for u, v in cover)
-
-    _, idx3 = strong_product(complete_graph(3), path_graph(3))
-    assert len(column_cover_edges(idx3, 1)) == 2
-    _, idx2 = strong_product(complete_graph(2), path_graph(3))
-    assert len(column_cover_edges(idx2, 1)) == 1
-
-    _, idx1 = strong_product(complete_graph(1), path_graph(3))
-    with pytest.raises(ValueError):
-        column_cover_edges(idx1, 0)
-
-
-def test_rung_edges():
-    right = path_graph(5)
-    _, idx = strong_product(complete_graph(1), right)
-    assert rung_edges(idx, right, 0, 1) == ((0, 1),)
-
-    _, idx3 = strong_product(complete_graph(3), right)
-    rungs = rung_edges(idx3, right, 0, 1)
-    assert len(rungs) == 3
-    touched = [v for e in rungs for v in e]
-    assert len(set(touched)) == 6  # pairwise disjoint
-
-    with pytest.raises(ValueError):
-        rung_edges(idx3, right, 0, 2)
-
-
-def test_rungs_break_two_column_block():
-    right = path_graph(2)
-    block, idx = strong_product(complete_graph(3), right)
-    rungs = rung_edges(idx, right, 0, 1)
-    assert gamma_value(block) == 1
-    assert gamma_value(remove_edges(block, rungs)) > 1
-
-
-def test_pendant_bondage_set_sizes():
-    right = path_graph(4)
-    _, idx2 = strong_product(complete_graph(2), right)
-    assert len(pendant_bondage_set(idx2, right, 0)) == 3
-    _, idx3 = strong_product(complete_graph(3), right)
-    assert len(pendant_bondage_set(idx3, right, 0)) == 5
-    with pytest.raises(ValueError):
-        pendant_bondage_set(idx3, right, 1)  # interior vertex
-    with pytest.raises(ValueError):
-        pendant_bondage_set(idx3, right, 0, t0=3)
-    _, idx1 = strong_product(complete_graph(1), right)
-    with pytest.raises(ValueError):
-        pendant_bondage_set(idx1, right, 0)  # single-vertex left factor
-
-
-def test_pendant_bondage_set_works():
-    right = path_graph(4)
-    prod, idx = strong_product(complete_graph(2), right)
-    assert is_bondage_set(prod, pendant_bondage_set(idx, right, 0))
-
-
 def test_is_bondage_set_basics():
     g = path_graph(4)
     assert not is_bondage_set(g, [])
@@ -143,8 +66,8 @@ def test_is_bondage_set_basics():
     with pytest.raises(ValueError):
         is_bondage_set(g, [(0, 2)])
 
-    prod, idx = strong_product(complete_graph(2), path_graph(3))
-    assert is_bondage_set(prod, column_cover_edges(idx, 1))
+    prod, _ = strong_product(complete_graph(2), path_graph(3))
+    assert is_bondage_set(prod, [(1, 4)])
 
 
 def test_bondage_examples():
@@ -199,15 +122,6 @@ def test_solver_matches_imported_values():
         assert bondage_number(complete_graph(m)).value == bondage_complete(m)
     for n in range(2, 11):
         assert bondage_number(path_graph(n)).value == bondage_path(n)
-
-
-def test_path_bondage_edges():
-    for n in range(2, 11):
-        edges = path_bondage_edges(n)
-        assert len(edges) == bondage_path(n)
-        assert is_bondage_set(path_graph(n), edges)
-    with pytest.raises(ValueError):
-        path_bondage_edges(1)
 
 
 @given(small_graphs_with_edges())

@@ -12,7 +12,6 @@ from strongdom.formulas import (
     gamma_km_pn,
     gamma_path,
     gamma_starlike,
-    residue_profile,
     starlike_canonical_dominating_set,
 )
 from strongdom.graphs import StarlikeSpec, starlike_tree
@@ -60,12 +59,6 @@ def test_bondage_km_pn():
         assert bondage_km_pn(1, n) == bondage_path(n)
     with pytest.raises(ValueError):
         bondage_km_pn(2, 1)
-
-
-def test_residue_helpers():
-    profile = residue_profile(StarlikeSpec((1, 2, 3, 4)))
-    assert (profile.ones, profile.twos, profile.zeros) == (2, 1, 1)
-    assert profile.branch_count == 4
 
 
 def test_gamma_starlike_examples():

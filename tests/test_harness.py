@@ -6,15 +6,20 @@ from pathlib import Path
 import pytest
 
 from strongdom import harness
+from strongdom.bondage import is_bondage_set
 from strongdom.domination import EnumerationCapExceeded
 from strongdom.graphs import GraphTextError, parse_graph_file
 from strongdom.harness import (
     InstanceSpec,
     ReportEntry,
+    build_instance,
     build_report,
     emit_report,
+    formula_value,
     km_pn_instances,
     mds_structure_entries,
+    prescribed_bondage_set,
+    starlike_branch_multisets,
     sweep,
     verify_instance,
 )
@@ -134,6 +139,41 @@ def test_verify_budget_must_be_positive():
     for budget in (0, -1.0):
         with pytest.raises(ValueError):
             verify_instance(spec, "bondage", budget_seconds=budget)
+
+
+def test_prescribed_bondage_sets_certify_every_family():
+    specs = [InstanceSpec("km-pn", m=m, n=n) for m in range(1, 6) for n in range(1, 11)]
+    specs += [InstanceSpec("path", n=n) for n in range(1, 11)]
+    specs += [InstanceSpec("complete", m=m) for m in range(1, 8)]
+    uniform = [
+        b
+        for b in starlike_branch_multisets((1, 2, 3), range(1, 7))
+        if len({x % 3 for x in b}) == 1
+    ]
+    # the recipe works at branch 1, which need not be the shortest
+    uniform += [(4, 1, 4), (5, 2), (6, 3, 3)]
+    specs += [InstanceSpec("km-starlike", m=m, branches=b) for m in (1, 2, 3) for b in uniform]
+    for spec in specs:
+        built = build_instance(spec)
+        formula = formula_value(spec, "bondage")
+        prescribed = prescribed_bondage_set(spec, built)
+        starlike_k1 = spec.family == "km-starlike" and spec.m == 1
+        assert (prescribed is None) == (formula is None or starlike_k1), spec
+        if prescribed is None:
+            continue
+        assert len(prescribed) == formula, spec
+        assert is_bondage_set(built.graph, prescribed), spec
+        if spec.family == "km-pn" and spec.m >= 2:
+            idx = built.indexing
+            n = idx.right_order
+            cover = [e for e in prescribed if e[0] % n == e[1] % n]
+            rungs = [e for e in prescribed if e[0] % n != e[1] % n]
+            columns = {e[0] % n for e in cover}
+            assert len(columns) <= 1, spec
+            if cover:  # the cover touches its whole column
+                assert {v for e in cover for v in e} == set(idx.column(columns.pop())), spec
+            touched = [v for e in rungs for v in e]
+            assert len(touched) == len(set(touched)), spec
 
 
 def test_verify_failed_witness_falls_back_to_search(monkeypatch):
