@@ -3,14 +3,19 @@ sets.
 
 One bounded cover search, ``_cover_within``, answers every exact domination
 question: ``gamma_value`` runs it downward from the greedy cover size, and the
-bondage scan runs it at gamma on each damaged graph.  One pruned lexicographic
-search, ``_covers_in_lex_order``, yields the lexicographically least witness
-and the full list of minimum dominating sets.  ``domination_number`` is exact
-at any order; the enumeration refuses graphs above an explicit cap because it
-is inherently exponential and refusing loudly beats hanging.
+bondage scan runs it at gamma on each damaged graph.  It branches on the
+least-coverable uncovered vertex, read off width classes (vertex masks by
+closed-row popcount, narrowest first) built once per call, and tests each
+child inline, so a child that completes the cover, or a failed last pick,
+costs no call.  One pruned lexicographic search, ``_covers_in_lex_order``,
+yields the lexicographically least witness and the full list of minimum
+dominating sets.  ``domination_number`` is exact at any order; the
+enumeration refuses graphs above an explicit cap because it is inherently
+exponential and refusing loudly beats hanging.
 
 Both searches take an optional ``deadline`` (a ``time.monotonic()`` instant,
-None for unlimited), checked on entry and every 1,024 search nodes; passing
+None for unlimited), checked on entry and then every 1,024 branching nodes of
+the cover search or every 1,024 nodes of the lexicographic search; passing
 it raises ``TimeBudgetExceeded``.
 """
 
@@ -20,7 +25,7 @@ import time
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
-from .graphs import Graph, iter_bits
+from .graphs import Graph
 
 DEFAULT_ENUMERATION_CAP = 24
 
@@ -77,52 +82,62 @@ def _greedy_cover_size(closed: Sequence[int], full: int) -> int:
     return count
 
 
-def _pick_uncovered(closed: Sequence[int], uncovered: int) -> int:
-    """Uncovered vertex with the fewest closed-neighbourhood candidates."""
-    best, best_width = -1, 1 << 62
-    while uncovered:
-        low = uncovered & -uncovered
-        w = low.bit_length() - 1
-        uncovered ^= low
-        width = closed[w].bit_count()
-        if width < best_width:
-            best, best_width = w, width
-    return best
-
-
 def _cover_within(
     closed: Sequence[int], full: int, limit: int, deadline: float | None = None
 ) -> int | None:
     """Mask of a dominating set of size <= limit, or None if there is none.
 
     Branches over the closed neighbourhood of the least-coverable uncovered
-    vertex: any dominating set must contain one of them, so the search is
-    complete.  The mask can be 0 (the empty graph), so callers test
-    ``is None``.
+    vertex (fewest closed neighbours, least index on ties): any dominating
+    set must contain one of them, so the search is complete.  The vertices
+    are grouped once per call into masks by closed-row width, narrowest
+    first, so the branching vertex is the lowest uncovered bit of the first
+    class that meets the uncovered set.  Each child is tested before it is
+    searched: one that completes the cover returns at once, and on the last
+    pick no call is made for one that does not.  The deadline is checked
+    every 1,024 branching nodes.  The mask can be 0 (the empty graph), so
+    callers test ``is None``.
     """
     _check_entry(deadline)
     if limit >= len(closed):
         return full
+    if not full:
+        return 0
+    if limit <= 0:
+        return None
+    by_width: dict[int, int] = {}
+    for v, row in enumerate(closed):
+        width = row.bit_count()
+        by_width[width] = by_width.get(width, 0) | 1 << v
+    classes = [by_width[width] for width in sorted(by_width)]
     nodes = 0
 
     def rec(covered: int, remaining: int) -> int | None:
+        # covered != full and remaining >= 1: a branching node
         nonlocal nodes
-        if covered == full:
-            return 0
-        if remaining == 0:
-            return None
         if deadline is not None:
             nodes += 1
             if not nodes & 1023 and time.monotonic() > deadline:
                 raise TimeBudgetExceeded(f"deadline hit after {nodes} cover-search nodes")
-        v = _pick_uncovered(closed, full & ~covered)
-        for u in iter_bits(closed[v]):
-            got = rec(covered | closed[u], remaining - 1)
-            if got is not None:
-                return got | 1 << u
+        uncovered = full & ~covered
+        for members in classes:
+            hit = members & uncovered
+            if hit:
+                break
+        candidates = closed[(hit & -hit).bit_length() - 1]
+        while candidates:
+            low = candidates & -candidates
+            candidates ^= low
+            after = covered | closed[low.bit_length() - 1]
+            if after == full:
+                return low
+            if remaining > 1:
+                got = rec(after, remaining - 1)
+                if got is not None:
+                    return got | low
         return None
 
-    return rec(0, max(limit, 0))
+    return rec(0, limit)
 
 
 def gamma_value(graph: Graph, *, deadline: float | None = None) -> int:

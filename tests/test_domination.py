@@ -19,6 +19,7 @@ from strongdom.graphs import (
     complete_graph,
     iter_bits,
     path_graph,
+    remove_edges,
     star_graph,
     strong_product,
 )
@@ -31,6 +32,9 @@ from brute import (
     random_tree,
 )
 import random
+
+from reference_cover import reference_cover_within
+from test_bondage import graphs_with_planted_twins
 
 
 @st.composite
@@ -108,6 +112,42 @@ def test_solver_matches_brute_force(g):
     assert _cover_within(g.closed_rows(), g.full_mask, value - 1) is None
 
 
+def _assert_cover_matches_reference(g):
+    closed, full = g.closed_rows(), g.full_mask
+    for limit in range(-1, g.order + 2):
+        assert _cover_within(closed, full, limit) == reference_cover_within(closed, full, limit)
+
+
+@given(st.integers(0, 12), st.floats(0, 1), st.randoms(use_true_random=False))
+@settings(max_examples=60, deadline=None)
+def test_cover_search_matches_reference_on_random_graphs(order, p, rng):
+    _assert_cover_matches_reference(random_graph(rng, order, p))
+
+
+@given(graphs_with_planted_twins())
+@settings(max_examples=40, deadline=None)
+def test_cover_search_matches_reference_on_planted_twins(g):
+    _assert_cover_matches_reference(g)
+
+
+@st.composite
+def damaged_km_pn(draw):
+    """K_m x P_n with one or two edges removed: the bondage solver's graphs."""
+    m, n = draw(st.integers(1, 4)), draw(st.integers(1, 12))
+    prod, _ = strong_product(complete_graph(m), path_graph(n))
+    edges = prod.edges()
+    if not edges:
+        return prod
+    removed = draw(st.lists(st.sampled_from(edges), min_size=1, max_size=2, unique=True))
+    return remove_edges(prod, removed)
+
+
+@given(damaged_km_pn())
+@settings(max_examples=40, deadline=None)
+def test_cover_search_matches_reference_on_damaged_products(g):
+    _assert_cover_matches_reference(g)
+
+
 @given(graphs(max_order=7))
 @settings(max_examples=40)
 def test_enumeration_matches_brute_force(g):
@@ -155,3 +195,12 @@ def test_passed_deadline_stops_the_cover_search_on_entry():
     g = path_graph(3)
     with pytest.raises(TimeBudgetExceeded, match="instance budget exhausted"):
         _cover_within(g.closed_rows(), g.full_mask, 1, time.monotonic() - 1)
+
+
+def test_deadline_stops_the_cover_search_inside():
+    # refuting a cover of size 8 on K_3 x P_27 runs for seconds
+    prod, _ = strong_product(complete_graph(3), path_graph(27))
+    start = time.monotonic()
+    with pytest.raises(TimeBudgetExceeded, match="cover-search nodes"):
+        _cover_within(prod.closed_rows(), prod.full_mask, 8, start + 0.2)
+    assert time.monotonic() - start < 1
