@@ -14,15 +14,22 @@ size.
 The search keeps a pool of minimum dominating sets of the intact graph.  Any
 candidate edge set that leaves some pool member dominating cannot have raised
 the domination number, so the vast majority of candidates are rejected by a
-couple of integer operations; survivors are confirmed with the exact solver,
-which keeps the search exhaustive and exact regardless of pool quality.
+few integer operations: per edge, the pool keeps a mask of the members the
+edge touches and one of the members it alone undominates (a single-edge
+kill), so one OR over the candidate's edges finds an untouched member, and
+only the members no edge kills need the spare-dominator count.  Survivors
+are confirmed with the exact solver, which keeps the search exhaustive and
+exact regardless of pool quality.
 The scan is a depth-first search that grows each candidate edge by edge and
-cuts a prefix once no completion can touch every twin it needs.  Most
-candidates miss the pool's front member (the member last found untouched by
-a candidate) altogether, so they are skipped in bulk: the last edges of a
-prefix are one bit mask, narrowed to the front member's touched edges while
-the prefix misses that member.  Only the candidates that touch the front
-member are visited.
+cuts a prefix once no completion can touch every twin it needs.  Each
+needed twin the prefix misses must be touched by an edge still to come, so
+no prefix edge comes after such a twin's last incident edge, and the last
+edges of a (k-1)-edge prefix, one bit mask, are built when the prefix is
+pushed; a prefix with none is not pushed.  Most candidates miss the pool's
+front member (the member last found untouched by a candidate) altogether,
+so they are skipped in bulk: while the prefix misses that member, its last
+edges are narrowed to the member's touched edges.  Only the candidates that
+touch the front member are visited.
 
 The pool grows lazily, as in the implicit hitting set loop of Chandrasekaran,
 Karp, Moreno-Centeno and Vempala (SODA 2011): it starts from one minimum
@@ -65,12 +72,16 @@ class _DominatingPool:
 
     ``touch[i]`` is the mask (over edge indices) of edges with exactly one
     endpoint in member ``i``; only those removals can break its domination,
-    and the scan's bulk skip reads the front member's mask.  A member with
-    ``counts[w] > d`` spare dominators of ``w`` survives any candidate that
-    removes at most ``d`` of them.
+    and the scan's bulk skip reads the front member's mask.  Such an edge
+    ``e`` joins the member to ``w = targets[i][e]``, which has
+    ``counts[i][w]`` dominators in the member; the member survives any
+    candidate that removes fewer than ``counts[i][w]`` of them for every
+    ``w``.  Per edge, as masks over member indices, ``by_edge[e]`` holds the
+    members whose touch mask holds ``e``, and ``kill[e]`` those for which
+    ``e`` removes the only dominator of its target (``counts[i][w] <= 1``).
     """
 
-    __slots__ = ("graph", "edges", "touch", "targets", "counts", "front")
+    __slots__ = ("graph", "edges", "touch", "targets", "counts", "by_edge", "kill", "front")
 
     def __init__(self, graph: Graph, edges: Sequence[Edge]):
         self.graph = graph
@@ -78,9 +89,17 @@ class _DominatingPool:
         self.touch: list[int] = []
         self.targets: list[dict[int, int]] = []
         self.counts: list[list[int]] = []
+        self.by_edge = [0] * len(edges)
+        self.kill = [0] * len(edges)
         self.front = 0
 
     def add(self, dmask: int) -> None:
+        graph = self.graph
+        counts = [0] * graph.order
+        for w in range(graph.order):
+            if not dmask >> w & 1:
+                counts[w] = (graph.rows[w] & dmask).bit_count()
+        member = 1 << len(self.touch)
         touch = 0
         targets: dict[int, int] = {}
         for e_index, (u, v) in enumerate(self.edges):
@@ -88,41 +107,51 @@ class _DominatingPool:
             v_in = dmask >> v & 1
             if u_in != v_in:
                 touch |= 1 << e_index
-                targets[e_index] = v if u_in else u
-        graph = self.graph
-        counts = [0] * graph.order
-        for w in range(graph.order):
-            if not dmask >> w & 1:
-                counts[w] = (graph.rows[w] & dmask).bit_count()
+                w = targets[e_index] = v if u_in else u
+                self.by_edge[e_index] |= member
+                if counts[w] <= 1:
+                    self.kill[e_index] |= member
         self.touch.append(touch)
         self.targets.append(targets)
         self.counts.append(counts)
 
     def some_member_survives(self, zmask: int, zedges: tuple[int, ...]) -> bool:
         """True iff some member still dominates once the candidate's edges go;
-        an untouched member becomes the front.  The scan only asks about
-        candidates that touch the front member."""
-        touch = self.touch
-        for i in range(len(touch)):
-            if zmask & touch[i] == 0:
-                self.front = i
-                return True
-        # every member is touched; run the exact spare-dominator test
-        for i in range(len(touch)):
+        the least untouched member, if any, becomes the front.  The scan only
+        asks about candidates that touch the front member.
+
+        The touched members are the OR of ``by_edge`` over the candidate's
+        edges.  When every member is touched, the spare-dominator test runs,
+        in index order, on the members that no single edge ``kill``s."""
+        by_edge = self.by_edge
+        everyone = (1 << len(self.touch)) - 1
+        touched = 0
+        for e in zedges:
+            touched |= by_edge[e]
+        if touched != everyone:
+            untouched = everyone ^ touched
+            self.front = (untouched & -untouched).bit_length() - 1
+            return True
+        kill = self.kill
+        alive = everyone
+        for e in zedges:
+            alive &= ~kill[e]
+        while alive:
+            low = alive & -alive
+            alive ^= low
+            i = low.bit_length() - 1
             targets = self.targets[i]
             counts = self.counts[i]
             dec: dict[int, int] = {}
-            ok = True
             for e in zedges:
                 w = targets.get(e)
                 if w is None:
                     continue
                 d = dec.get(w, 0) + 1
                 if d >= counts[w]:
-                    ok = False
                     break
                 dec[w] = d
-            if ok:
+            else:
                 return True
         return False
 
@@ -164,25 +193,33 @@ def _sets_touching_front(
     mask, the vertices it touches and ``missing``, the vertices it needs
     but does not touch.  Each edge still to come touches at most two
     vertices, so a prefix of j edges missing more than 2(k - j) vertices
-    has no completion and is cut, with everything below it.  A kept set
-    needs only vertices it touches, so its last edge touches every vertex
-    the (k-1)-edge prefix misses: the last edges to try are one bit mask,
-    the edges after the prefix ANDed with each missing vertex's
-    ``incident`` mask, and each is tested only for needing an untouched
-    vertex.  A set that misses the front member leaves it dominating, so it
-    is refuted without a visit: while the prefix misses the front member,
-    that mask is ANDed with the member's touch mask too.  The front is read
-    afresh after every yield, since the caller's pool test may move it.
+    has no completion and is cut, with everything below it.  Each missing
+    vertex must be touched by an edge still to come, so the next edge comes
+    no later than the last incident edge (the top bit of ``incident[v]``)
+    of any missing vertex; a prefix that leaves no edge after its own
+    within that stop is not pushed.  A kept set needs only vertices it
+    touches, so its last edge touches every vertex the (k-1)-edge prefix
+    misses: the last edges to try are one bit mask, the edges after the
+    prefix ANDed with each missing vertex's ``incident`` mask, built when
+    the prefix is pushed, and a prefix whose mask is empty is not pushed.
+    Each last edge is tested only for needing an untouched vertex.  A set
+    that misses the front member leaves it dominating, so it is refuted
+    without a visit: while the prefix misses the front member, that mask is
+    ANDed with the member's touch mask too.  The front is read afresh after
+    every yield, since the caller's pool test may move it.
     Prefix edges tried and visited sets both count as steps, and the
     deadline is checked at the first prefix edge after every 2,048 steps.
     """
     n = len(ends)
     touch = pool.touch
     every = (1 << n) - 1
-    # state of the prefix holding j edges: edge mask, touched, missing
+    # state of the prefix holding j edges: edge mask, touched, missing, and
+    # the first edge index its next edge may not take
     pmasks = [0] * k
     vmasks = [0] * k
     missings = [0] * k
+    stops = [n - (k - 1)] * k
+    lasts = every  # the last edges of the (k-1)-edge prefix
     prefix: list[int] = []
     j = 0  # edges in the prefix
     e = 0  # next edge to try at position j
@@ -193,12 +230,6 @@ def _sets_touching_front(
         if j == k - 1:
             pmask = pmasks[j]
             vmask = vmasks[j]
-            missing = missings[j]
-            lasts = every >> e << e
-            while missing:
-                low = missing & -missing
-                lasts &= incident[low.bit_length() - 1]
-                missing ^= low
             if pool.front != front:
                 front = pool.front
                 front_touch = touch[front]
@@ -217,7 +248,7 @@ def _sets_touching_front(
                     ahead = lasts & -(low << 1)
                     if not pmask & front_touch:
                         ahead &= front_touch
-        elif e < n - (k - 1 - j):  # room for the edges still to come
+        elif e < stops[j]:
             steps += 1
             if deadline is not None and steps >= check_at:
                 if time.monotonic() > deadline:
@@ -227,11 +258,31 @@ def _sets_touching_front(
                 vmask = vmasks[j] | ends[e]
                 missing = (missings[j] | needs[e]) & ~vmask
                 if missing.bit_count() <= 2 * (k - 1 - j):
-                    pmasks[j + 1] = pmasks[j] | 1 << e
-                    vmasks[j + 1] = vmask
-                    missings[j + 1] = missing
-                    prefix.append(e)
-                    j += 1
+                    # an edge still to come touches each missing vertex, so
+                    # the next edge comes no later than any missing vertex's
+                    # last incident edge, and a last edge touches them all
+                    rest = missing
+                    if j == k - 2:
+                        lasts = every >> e + 1 << e + 1
+                        while rest:
+                            low = rest & -rest
+                            lasts &= incident[low.bit_length() - 1]
+                            rest ^= low
+                        room = lasts
+                    else:
+                        stop = n - (k - 2 - j)
+                        while rest:
+                            low = rest & -rest
+                            stop = min(stop, incident[low.bit_length() - 1].bit_length())
+                            rest ^= low
+                        stops[j + 1] = stop
+                        room = stop > e + 1
+                    if room:
+                        pmasks[j + 1] = pmasks[j] | 1 << e
+                        vmasks[j + 1] = vmask
+                        missings[j + 1] = missing
+                        prefix.append(e)
+                        j += 1
             e += 1
             continue
         if not j:
@@ -249,7 +300,8 @@ def find_bondage_set_up_to(
     The sizes are scanned in turn, each in lexicographic order of edge
     indices, over the sets that touch a prefix of every closed-twin class
     (``_sets_touching_front``, a depth-first search that cuts a j-edge
-    prefix needing more than 2(k - j) untouched vertices).  Twin swaps
+    prefix needing more than 2(k - j) untouched vertices, or one whose next
+    edge would have to come after a missing vertex's last incident edge).  Twin swaps
     preserve the domination number, and squeezing a set's touched members of
     each class onto the class prefix, in their own order, lowers some vertex
     and raises none: every edge maps to an edge no later, and one to an

@@ -6,7 +6,8 @@ and put through the twin-prefix test, then the pool's front member, then the
 pool test, then the exact solver.  The twin classes are worked out here from
 the closed rows.  The package skips the sets that fail either of the first
 two tests in bulk, so its pool tests, solver calls and witnesses must equal
-this loop's.
+this loop's.  ``ReferencePool`` runs the pool test member by member, so the
+package's per-edge member masks are checked against it too.
 """
 
 from __future__ import annotations
@@ -15,6 +16,37 @@ from itertools import combinations
 
 from strongdom import bondage
 from strongdom.domination import _cover_within, gamma_value
+
+
+class ReferencePool(bondage._DominatingPool):
+    """The package's pool, with the pool test as one loop over the members."""
+
+    __slots__ = ()
+
+    def some_member_survives(self, zmask, zedges):
+        touch = self.touch
+        for i in range(len(touch)):
+            if zmask & touch[i] == 0:
+                self.front = i
+                return True
+        # every member is touched; run the exact spare-dominator test
+        for i in range(len(touch)):
+            targets = self.targets[i]
+            counts = self.counts[i]
+            dec: dict[int, int] = {}
+            ok = True
+            for e in zedges:
+                w = targets.get(e)
+                if w is None:
+                    continue
+                d = dec.get(w, 0) + 1
+                if d >= counts[w]:
+                    ok = False
+                    break
+                dec[w] = d
+            if ok:
+                return True
+        return False
 
 
 def _twin_prefix_test(graph, edges):
@@ -48,7 +80,7 @@ def reference_find_bondage_set_up_to(graph, max_size):
     full = graph.full_mask
     gamma = gamma_value(graph)
     twin_prefix = _twin_prefix_test(graph, edges)
-    pool = bondage._DominatingPool(graph, edges)
+    pool = ReferencePool(graph, edges)
     pool.add(_cover_within(closed, full, gamma))
     n_edges = len(edges)
     bit = [1 << e for e in range(n_edges)]

@@ -27,7 +27,8 @@ from strongdom.graphs import (
 )
 
 from brute import brute_bondage, brute_first_bondage_witness
-from reference_scan import _twin_prefix_test, reference_find_bondage_set_up_to
+import reference_scan
+from reference_scan import ReferencePool, _twin_prefix_test, reference_find_bondage_set_up_to
 
 
 @st.composite
@@ -160,6 +161,46 @@ def test_pool_filter_rejections_are_sound():
         assert gamma_value(damaged) == gamma
 
 
+@st.composite
+def damaged_pools(draw):
+    """A graph and pool members gathered as the scan gathers them: covers of
+    size gamma of copies with a few edges removed.  Damage leaves vertices
+    with spare dominators in some members, so both pool tests run."""
+    if draw(st.booleans()):
+        g = draw(graphs_with_planted_twins())
+    else:
+        m, n = draw(st.integers(1, 4)), draw(st.integers(2, 6))
+        g = strong_product(complete_graph(m), path_graph(n))[0]
+    edges = g.edges()
+    gamma = gamma_value(g)
+    members = [_cover_within(g.closed_rows(), g.full_mask, gamma)]
+    cuts = st.lists(st.sampled_from(edges), max_size=3, unique=True)
+    for cut in draw(st.lists(cuts, max_size=8)):
+        cover = _cover_within(remove_edges(g, cut).closed_rows(), g.full_mask, gamma)
+        if cover is not None:
+            members.append(cover)
+    return g, members
+
+
+@given(damaged_pools(), st.data())
+@settings(max_examples=60, deadline=None)
+def test_member_masks_match_per_member_pool_test(pooled, data):
+    g, members = pooled
+    edges = g.edges()
+    pool = _DominatingPool(g, edges)
+    reference = ReferencePool(g, edges)
+    for dmask in members:
+        pool.add(dmask)
+        reference.add(dmask)
+    combos = st.lists(st.sampled_from(range(len(edges))), min_size=1, max_size=5, unique=True)
+    for combo in data.draw(st.lists(combos, min_size=1, max_size=20)):
+        zedges = tuple(sorted(combo))
+        zmask = sum(1 << e for e in zedges)
+        expected = reference.some_member_survives(zmask, zedges)
+        assert pool.some_member_survives(zmask, zedges) == expected
+        assert pool.front == reference.front
+
+
 def test_bondage_search_at_order_26():
     prod, _ = strong_product(complete_graph(2), path_graph(13))
     assert prod.order == 26
@@ -252,21 +293,29 @@ def test_depth_first_scan_matches_brute_force_filter_on_planted_twins(g):
 
 def _recorded_scan(search, graph, size):
     """The search's answer, and its pool tests (candidate mask and edges,
-    result, front before and after, pool size) and pool additions in order."""
+    result, front before and after, pool size) and pool additions in order.
+    Both the package's pool and the reference's per-member pool record."""
     log = []
 
-    class RecordingPool(bondage._DominatingPool):
-        def add(self, dmask):
-            log.append(dmask)
-            super().add(dmask)
+    def recording(pool_class):
+        class RecordingPool(pool_class):
+            def add(self, dmask):
+                log.append(dmask)
+                super().add(dmask)
 
-        def some_member_survives(self, zmask, zedges):
-            front = self.front
-            result = super().some_member_survives(zmask, zedges)
-            log.append((zmask, zedges, result, front, self.front, len(self.touch)))
-            return result
+            def some_member_survives(self, zmask, zedges):
+                front = self.front
+                result = super().some_member_survives(zmask, zedges)
+                log.append((zmask, zedges, result, front, self.front, len(self.touch)))
+                return result
 
-    with patch.object(bondage, "_DominatingPool", RecordingPool):
+        return RecordingPool
+
+    package_pool = recording(bondage._DominatingPool)
+    reference_pool = recording(reference_scan.ReferencePool)
+    with patch.object(bondage, "_DominatingPool", package_pool), patch.object(
+        reference_scan, "ReferencePool", reference_pool
+    ):
         return search(graph, size), log
 
 
@@ -290,9 +339,9 @@ def test_no_edge_set_is_pool_tested_twice(m, n):
 
 
 def test_deadline_fires_inside_a_long_refutation():
-    # K_7 x P_2 is K_14 (b = 7); its size-6 refutation runs for seconds
-    prod, _ = strong_product(complete_graph(7), path_graph(2))
+    # km-pn(4,10) has b = 6; refuting sizes up to 5 runs for seconds
+    prod, _ = strong_product(complete_graph(4), path_graph(10))
     start = time.monotonic()
     with pytest.raises(TimeBudgetExceeded):
-        find_bondage_set_up_to(prod, 6, deadline=start + 0.2)
+        find_bondage_set_up_to(prod, 5, deadline=start + 0.2)
     assert time.monotonic() - start < 2
