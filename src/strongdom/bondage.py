@@ -3,13 +3,13 @@ constructive edge sets that certify the paper's upper bounds are built by
 ``harness.prescribed_bondage_set``.
 
 Each size is scanned once, in lexicographic order of edge indices, over
-only the edge sets that touch a prefix of every closed-twin class (closed
-twins are vertices with equal closed neighbourhoods; in K_m x T each column
-is one class).  The least member of every twin-symmetry class of edge sets
-passes that test, as in orderly generation (Read, Ann. Discrete Math. 2,
-1978; McKay, J. Algorithms 26, 1998), so each size is refuted exhaustively
-and the first bondage set met is the lexicographically least of the least
-size.
+only the twin leaders: the edge sets every prefix of which touches a prefix
+of every closed-twin class (closed twins are vertices with equal closed
+neighbourhoods; in K_m x T each column is one class).  The least member of
+every twin-symmetry class of edge sets is a twin leader, as in orderly
+generation (Read, Ann. Discrete Math. 2, 1978; McKay, J. Algorithms 26,
+1998), so each size is refuted exhaustively and the first bondage set met
+is the lexicographically least of the least size.
 
 The search keeps a pool of minimum dominating sets of the intact graph.  Any
 candidate edge set that leaves some pool member dominating cannot have raised
@@ -21,15 +21,11 @@ only the members no edge kills need the spare-dominator count.  Survivors
 are confirmed with the exact solver, which keeps the search exhaustive and
 exact regardless of pool quality.
 The scan is a depth-first search that grows each candidate edge by edge and
-cuts a prefix once no completion can touch every twin it needs.  Each
-needed twin the prefix misses must be touched by an edge still to come, so
-no prefix edge comes after such a twin's last incident edge, and the last
-edges of a (k-1)-edge prefix, one bit mask, are built when the prefix is
-pushed; a prefix with none is not pushed.  Most candidates miss the pool's
-front member (the member last found untouched by a candidate) altogether,
-so they are skipped in bulk: while the prefix misses that member, its last
-edges are narrowed to the member's touched edges.  Only the candidates that
-touch the front member are visited.
+extends a prefix only while it is a twin leader itself.  Most candidates
+miss the pool's front member (the member last found untouched by a
+candidate) altogether, so they are skipped in bulk: while the prefix misses
+that member, its last edges are narrowed to the member's touched edges.
+Only the candidates that touch the front member are visited.
 
 The pool grows lazily, as in the implicit hitting set loop of Chandrasekaran,
 Karp, Moreno-Centeno and Vempala (SODA 2011): it starts from one minimum
@@ -180,46 +176,33 @@ def _sets_touching_front(
     pool: _DominatingPool,
     ends: Sequence[int],
     needs: Sequence[int],
-    incident: Sequence[int],
     k: int,
     deadline: float | None,
 ) -> Iterator[tuple[int, tuple[int, ...]]]:
     """Yield ``(mask, edge indices)`` for each k-set of edge indices, in
-    lexicographic order, that touches a prefix of every twin class and
-    touches the pool's front member when the scan reaches it.
+    lexicographic order, every prefix of which touches a prefix of every
+    twin class, and which touches the pool's front member when the scan
+    reaches it.
 
-    A depth-first search grows each set edge by edge in increasing index;
-    its first edge needs nothing (``_twin_needs``).  A prefix keeps its edge
-    mask, the vertices it touches and ``missing``, the vertices it needs
-    but does not touch.  Each edge still to come touches at most two
-    vertices, so a prefix of j edges missing more than 2(k - j) vertices
-    has no completion and is cut, with everything below it.  Each missing
-    vertex must be touched by an edge still to come, so the next edge comes
-    no later than the last incident edge (the top bit of ``incident[v]``)
-    of any missing vertex; a prefix that leaves no edge after its own
-    within that stop is not pushed.  A kept set needs only vertices it
-    touches, so its last edge touches every vertex the (k-1)-edge prefix
-    misses: the last edges to try are one bit mask, the edges after the
-    prefix ANDed with each missing vertex's ``incident`` mask, built when
-    the prefix is pushed, and a prefix whose mask is empty is not pushed.
-    Each last edge is tested only for needing an untouched vertex.  A set
-    that misses the front member leaves it dominating, so it is refuted
-    without a visit: while the prefix misses the front member, that mask is
-    ANDed with the member's touch mask too.  The front is read afresh after
-    every yield, since the caller's pool test may move it.
-    Prefix edges tried and visited sets both count as steps, and the
-    deadline is checked at the first prefix edge after every 2,048 steps.
+    A depth-first search grows each set edge by edge in increasing index.
+    A prefix keeps its edge mask and the vertices it touches, and is
+    extended by an edge only if every vertex the edge needs (``_twin_needs``)
+    is touched already; the empty prefix touches nothing, so a first edge
+    must need nothing.  Each prefix edge leaves room for the edges still to
+    come, and the last edges of a (k-1)-edge prefix, one bit mask, are the
+    edges after it.  A set that misses the front member leaves it
+    dominating, so it is refuted without a visit: while the prefix misses
+    the front member, that mask is ANDed with the member's touch mask.  The
+    front is read afresh after every yield, since the caller's pool test may
+    move it.  Prefix edges tried and visited sets both count as steps, and
+    the deadline is checked at the first prefix edge after every 2,048 steps.
     """
     n = len(ends)
     touch = pool.touch
     every = (1 << n) - 1
-    # state of the prefix holding j edges: edge mask, touched, missing, and
-    # the first edge index its next edge may not take
+    # edge mask and touched vertices of the prefix holding j edges
     pmasks = [0] * k
     vmasks = [0] * k
-    missings = [0] * k
-    stops = [n - (k - 1)] * k
-    lasts = every  # the last edges of the (k-1)-edge prefix
     prefix: list[int] = []
     j = 0  # edges in the prefix
     e = 0  # next edge to try at position j
@@ -228,6 +211,7 @@ def _sets_touching_front(
     check_at = 2048
     while True:
         if j == k - 1:
+            lasts = every >> e << e  # the edges after the prefix
             pmask = pmasks[j]
             vmask = vmasks[j]
             if pool.front != front:
@@ -248,41 +232,17 @@ def _sets_touching_front(
                     ahead = lasts & -(low << 1)
                     if not pmask & front_touch:
                         ahead &= front_touch
-        elif e < stops[j]:
+        elif e < n - (k - 1 - j):
             steps += 1
             if deadline is not None and steps >= check_at:
                 if time.monotonic() > deadline:
                     raise TimeBudgetExceeded(f"deadline hit after {steps} scan steps at size {k}")
                 check_at = steps + 2048
-            if j or not needs[e]:
-                vmask = vmasks[j] | ends[e]
-                missing = (missings[j] | needs[e]) & ~vmask
-                if missing.bit_count() <= 2 * (k - 1 - j):
-                    # an edge still to come touches each missing vertex, so
-                    # the next edge comes no later than any missing vertex's
-                    # last incident edge, and a last edge touches them all
-                    rest = missing
-                    if j == k - 2:
-                        lasts = every >> e + 1 << e + 1
-                        while rest:
-                            low = rest & -rest
-                            lasts &= incident[low.bit_length() - 1]
-                            rest ^= low
-                        room = lasts
-                    else:
-                        stop = n - (k - 2 - j)
-                        while rest:
-                            low = rest & -rest
-                            stop = min(stop, incident[low.bit_length() - 1].bit_length())
-                            rest ^= low
-                        stops[j + 1] = stop
-                        room = stop > e + 1
-                    if room:
-                        pmasks[j + 1] = pmasks[j] | 1 << e
-                        vmasks[j + 1] = vmask
-                        missings[j + 1] = missing
-                        prefix.append(e)
-                        j += 1
+            if not needs[e] & ~vmasks[j]:
+                pmasks[j + 1] = pmasks[j] | 1 << e
+                vmasks[j + 1] = vmasks[j] | ends[e]
+                prefix.append(e)
+                j += 1
             e += 1
             continue
         if not j:
@@ -298,28 +258,27 @@ def find_bondage_set_up_to(
     or None once every size up to max_size has been refuted.
 
     The sizes are scanned in turn, each in lexicographic order of edge
-    indices, over the sets that touch a prefix of every closed-twin class
-    (``_sets_touching_front``, a depth-first search that cuts a j-edge
-    prefix needing more than 2(k - j) untouched vertices, or one whose next
-    edge would have to come after a missing vertex's last incident edge).  Twin swaps
-    preserve the domination number, and squeezing a set's touched members of
-    each class onto the class prefix, in their own order, lowers some vertex
-    and raises none: every edge maps to an edge no later, and one to an
-    earlier edge, so the image is lexicographically smaller.  The least
-    set's first edge needs nothing either, or swapping one end with that
-    end's previous twin would move it earlier.  The least member of every
-    symmetry class is therefore scanned, and as the least bondage set of a
-    size is the least of its class, the first bondage set met is the
-    witness.
+    indices, over the twin leaders (``_sets_touching_front``): the sets
+    every prefix of which touches a prefix of every closed-twin class.
+    Twin swaps preserve the domination number, so it is enough to scan the
+    least set of every symmetry class, and that set is a twin leader.
+    Squeezing a set's touched members of each class onto the class prefix,
+    in their own order, lowers some vertex and raises none: every edge maps
+    to an edge no later, and one to an earlier edge, so the image is
+    lexicographically smaller; the least set therefore touches a prefix of
+    every class.  Its prefixes are least in their classes too: if a twin
+    swap g maps a prefix P of a set B to a smaller set, let x be the least
+    edge of g(P) or P but not both; it lies in g(P), every edge of B below
+    x lies in P and so in g(B), and x is not in B, so g(B) < B.  As the
+    least bondage set of a size is the least of its class, the first
+    bondage set met is the witness.
 
     The scan skips in bulk the sets that miss the pool's front member: that
     member still dominates after such a removal, so only the sets that touch
-    it are visited.  The per-vertex ``incident`` edge masks the scan narrows
-    last edges by are built once per call.  The pool only filters; the exact
-    solver has the final word on survivors.  ``deadline`` is a
-    ``time.monotonic()`` instant (None: unlimited), checked on entry, every
-    2,048 scan steps and inside each gamma and solver call; passing it
-    raises ``TimeBudgetExceeded``.
+    it are visited.  The pool only filters; the exact solver has the final
+    word on survivors.  ``deadline`` is a ``time.monotonic()`` instant
+    (None: unlimited), checked on entry, every 2,048 scan steps and inside
+    each gamma and solver call; passing it raises ``TimeBudgetExceeded``.
     """
     _check_entry(deadline)
     edges = graph.edges()
@@ -329,15 +288,11 @@ def find_bondage_set_up_to(
     full = graph.full_mask
     gamma = gamma_value(graph, deadline=deadline)
     ends, needs = _twin_needs(closed, edges)
-    incident = [0] * graph.order
-    for e, (u, v) in enumerate(edges):
-        incident[u] |= 1 << e
-        incident[v] |= 1 << e
     pool = _DominatingPool(graph, edges)
     pool.add(_cover_within(closed, full, gamma, deadline))
     survives = pool.some_member_survives
     scan = chain.from_iterable(
-        _sets_touching_front(pool, ends, needs, incident, k, deadline)
+        _sets_touching_front(pool, ends, needs, k, deadline)
         for k in range(1, min(max_size, len(edges)) + 1)
     )
     for zmask, combo in scan:

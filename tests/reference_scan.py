@@ -2,12 +2,13 @@
 
 The same scan as the package's, written as one loop turn per candidate edge
 set: every k-set of edge indices is built in full, in ``combinations`` order,
-and put through the twin-prefix test, then the pool's front member, then the
-pool test, then the exact solver.  The twin classes are worked out here from
-the closed rows.  The package skips the sets that fail either of the first
-two tests in bulk, so its pool tests, solver calls and witnesses must equal
-this loop's.  ``ReferencePool`` runs the pool test member by member, so the
-package's per-edge member masks are checked against it too.
+and put through the twin-prefix test on each of its prefixes, then the
+pool's front member, then the pool test, then the exact solver.  The twin
+classes are worked out here from the closed rows.  The package skips the
+sets that fail either of the first two tests in bulk, so its pool tests,
+solver calls and witnesses must equal this loop's.  ``ReferencePool`` runs
+the pool test member by member, so the package's per-edge member masks are
+checked against it too.
 """
 
 from __future__ import annotations
@@ -88,7 +89,7 @@ def reference_find_bondage_set_up_to(graph, max_size):
     survives = pool.some_member_survives
     for k in range(1, min(max_size, n_edges) + 1):
         for combo in combinations(range(n_edges), k):
-            if not twin_prefix(combo):
+            if not all(twin_prefix(combo[:i]) for i in range(1, k + 1)):
                 continue
             zmask = 0
             for e in combo:

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from strongdom import bondage
+from strongdom import bondage, domination
 from strongdom.bondage import (
     TimeBudgetExceeded,
     _DominatingPool,
@@ -247,19 +247,24 @@ def test_frontier_refutation_of_k12():
 
 
 def _brute_sets_touching(graph, touch, k):
-    """Every k-set of edge indices, in ``combinations`` order, that passes
-    the twin-prefix test of ``reference_scan`` and meets the edge mask
-    ``touch``.  A set passing that test starts with an edge that passes it
-    alone, so only such first edges are tried."""
+    """Every k-set of edge indices, in ``combinations`` order, every prefix
+    of which passes the twin-prefix test of ``reference_scan``, and which
+    meets the edge mask ``touch``.  Only prefixes that pass are extended."""
     n_edges = len(graph.edges())
     twin_prefix = _twin_prefix_test(graph, graph.edges())
     found = []
-    for first in filter(lambda e: twin_prefix((e,)), range(n_edges)):
-        for rest in combinations(range(first + 1, n_edges), k - 1):
-            combo = (first, *rest)
+
+    def grow(combo):
+        if len(combo) == k:
             mask = sum(1 << e for e in combo)
-            if mask & touch and twin_prefix(combo):
+            if mask & touch:
                 found.append((mask, combo))
+            return
+        for e in range(combo[-1] + 1 if combo else 0, n_edges):
+            if twin_prefix((*combo, e)):
+                grow((*combo, e))
+
+    grow(())
     return found
 
 
@@ -272,9 +277,8 @@ def _assert_scan_with_pinned_front_is_brute_force(graph, sizes):
     pool = _DominatingPool(graph, edges)
     pool.add(member)
     ends, needs = _twin_needs(closed, edges)
-    incident = [sum(1 << e for e, edge in enumerate(edges) if v in edge) for v in range(graph.order)]
     for k in sizes:
-        scanned = list(bondage._sets_touching_front(pool, ends, needs, incident, k, None))
+        scanned = list(bondage._sets_touching_front(pool, ends, needs, k, None))
         assert scanned == _brute_sets_touching(graph, pool.touch[0], k), k
     assert pool.front == 0
 
@@ -345,3 +349,27 @@ def test_deadline_fires_inside_a_long_refutation():
     with pytest.raises(TimeBudgetExceeded):
         find_bondage_set_up_to(prod, 5, deadline=start + 0.2)
     assert time.monotonic() - start < 2
+
+
+class _TickingClock:
+    """Stands in for the ``time`` module: each ``monotonic()`` read advances
+    the clock by one tick, so a deadline fires after a fixed number of reads
+    on any machine."""
+
+    def __init__(self):
+        self.ticks = 0
+
+    def monotonic(self):
+        self.ticks += 1
+        return float(self.ticks)
+
+
+def test_deadline_fires_inside_the_scan_at_a_fixed_tick():
+    # km-pn(4,10) reads the clock 429 times to refute sizes up to 5; read 301
+    # is a scan-step check at size 5
+    prod, _ = strong_product(complete_graph(4), path_graph(10))
+    clock = _TickingClock()
+    with patch.object(bondage, "time", clock), patch.object(domination, "time", clock):
+        with pytest.raises(TimeBudgetExceeded, match=r"after \d+ scan steps at size 5$"):
+            find_bondage_set_up_to(prod, 5, deadline=300)
+    assert clock.ticks == 301
