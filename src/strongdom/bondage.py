@@ -13,19 +13,17 @@ is the lexicographically least of the least size.
 
 The search keeps a pool of minimum dominating sets of the intact graph.  Any
 candidate edge set that leaves some pool member dominating cannot have raised
-the domination number, so the vast majority of candidates are rejected by a
-few integer operations: per edge, the pool keeps a mask of the members the
-edge touches and one of the members it alone undominates (a single-edge
-kill), so one OR over the candidate's edges finds an untouched member, and
-only the members no edge kills need the spare-dominator count.  Survivors
-are confirmed with the exact solver, which keeps the search exhaustive and
-exact regardless of pool quality.
-The scan is a depth-first search that grows each candidate edge by edge and
-extends a prefix only while it is a twin leader itself.  Most candidates
-miss the pool's front member (the member last found untouched by a
-candidate) altogether, so they are skipped in bulk: while the prefix misses
-that member, its last edges are narrowed to the member's touched edges.
-Only the candidates that touch the front member are visited.
+the domination number.  Only an edge with exactly one endpoint in a member
+can break its domination, so the scan visits only the sets that touch every
+member: the sets that miss one are skipped in bulk, as the last edges of
+each prefix are narrowed, as one bit mask, to the edges that touch every
+member the prefix misses.  A visited set gets the spare-dominator count on
+each member in turn, skipping the members that one of its edges alone
+undominates (a single-edge kill, kept per edge as a mask over members).
+Survivors are confirmed with the exact solver, which keeps the search
+exhaustive and exact regardless of pool quality.  The scan is a depth-first
+search that grows each candidate edge by edge and extends a prefix only
+while it is a twin leader itself.
 
 The pool grows lazily, as in the implicit hitting set loop of Chandrasekaran,
 Karp, Moreno-Centeno and Vempala (SODA 2011): it starts from one minimum
@@ -68,7 +66,7 @@ class _DominatingPool:
 
     ``touch[i]`` is the mask (over edge indices) of edges with exactly one
     endpoint in member ``i``; only those removals can break its domination,
-    and the scan's bulk skip reads the front member's mask.  Such an edge
+    so the scan yields only sets that meet every member's mask.  Such an edge
     ``e`` joins the member to ``w = targets[i][e]``, which has
     ``counts[i][w]`` dominators in the member; the member survives any
     candidate that removes fewer than ``counts[i][w]`` of them for every
@@ -77,7 +75,7 @@ class _DominatingPool:
     ``e`` removes the only dominator of its target (``counts[i][w] <= 1``).
     """
 
-    __slots__ = ("graph", "edges", "touch", "targets", "counts", "by_edge", "kill", "front")
+    __slots__ = ("graph", "edges", "touch", "targets", "counts", "by_edge", "kill")
 
     def __init__(self, graph: Graph, edges: Sequence[Edge]):
         self.graph = graph
@@ -87,7 +85,6 @@ class _DominatingPool:
         self.counts: list[list[int]] = []
         self.by_edge = [0] * len(edges)
         self.kill = [0] * len(edges)
-        self.front = 0
 
     def add(self, dmask: int) -> None:
         graph = self.graph
@@ -111,25 +108,14 @@ class _DominatingPool:
         self.targets.append(targets)
         self.counts.append(counts)
 
-    def some_member_survives(self, zmask: int, zedges: tuple[int, ...]) -> bool:
-        """True iff some member still dominates once the candidate's edges go;
-        the least untouched member, if any, becomes the front.  The scan only
-        asks about candidates that touch the front member.
+    def some_member_survives(self, zedges: tuple[int, ...]) -> bool:
+        """True iff some member still dominates once the candidate's edges go.
 
-        The touched members are the OR of ``by_edge`` over the candidate's
-        edges.  When every member is touched, the spare-dominator test runs,
-        in index order, on the members that no single edge ``kill``s."""
-        by_edge = self.by_edge
-        everyone = (1 << len(self.touch)) - 1
-        touched = 0
-        for e in zedges:
-            touched |= by_edge[e]
-        if touched != everyone:
-            untouched = everyone ^ touched
-            self.front = (untouched & -untouched).bit_length() - 1
-            return True
+        The spare-dominator test runs, in index order, on the members that no
+        single edge ``kill``s; it is exact for any candidate, and a member the
+        candidate does not touch passes it at once."""
         kill = self.kill
-        alive = everyone
+        alive = (1 << len(self.touch)) - 1
         for e in zedges:
             alive &= ~kill[e]
         while alive:
@@ -172,66 +158,64 @@ def _twin_needs(closed: Sequence[int], edges: Sequence[Edge]) -> tuple[list[int]
     return ends, needs
 
 
-def _sets_touching_front(
+def _sets_touching_pool(
     pool: _DominatingPool,
     ends: Sequence[int],
     needs: Sequence[int],
     k: int,
     deadline: float | None,
-) -> Iterator[tuple[int, tuple[int, ...]]]:
-    """Yield ``(mask, edge indices)`` for each k-set of edge indices, in
-    lexicographic order, every prefix of which touches a prefix of every
-    twin class, and which touches the pool's front member when the scan
-    reaches it.
+) -> Iterator[tuple[int, ...]]:
+    """Yield each k-set of edge indices, in lexicographic order, every prefix
+    of which touches a prefix of every twin class, and which touches every
+    member the pool holds when the scan reaches the set.
 
     A depth-first search grows each set edge by edge in increasing index.
-    A prefix keeps its edge mask and the vertices it touches, and is
-    extended by an edge only if every vertex the edge needs (``_twin_needs``)
-    is touched already; the empty prefix touches nothing, so a first edge
-    must need nothing.  Each prefix edge leaves room for the edges still to
-    come, and the last edges of a (k-1)-edge prefix, one bit mask, are the
-    edges after it.  A set that misses the front member leaves it
-    dominating, so it is refuted without a visit: while the prefix misses
-    the front member, that mask is ANDed with the member's touch mask.  The
-    front is read afresh after every yield, since the caller's pool test may
-    move it.  Prefix edges tried and visited sets both count as steps, and
-    the deadline is checked at the first prefix edge after every 2,048 steps.
+    A prefix keeps the vertices it touches, and is extended by an edge only
+    if every vertex the edge needs (``_twin_needs``) is touched already; the
+    empty prefix touches nothing, so a first edge must need nothing.  Each
+    prefix edge leaves room for the edges still to come.  The last edges of
+    a (k-1)-edge prefix are one bit mask: the edges after it, ANDed with the
+    touch mask of every member the prefix misses, since a set that misses a
+    member leaves it dominating.  The pool grows only when the caller adds
+    a solver's cover, so after a yield that grew it the mask is narrowed by
+    the new members the prefix misses.  Prefix edges tried and visited sets
+    both count as steps, and the deadline is checked at the first prefix
+    edge after every 2,048 steps.
     """
     n = len(ends)
     touch = pool.touch
+    by_edge = pool.by_edge
     every = (1 << n) - 1
-    # edge mask and touched vertices of the prefix holding j edges
-    pmasks = [0] * k
-    vmasks = [0] * k
+    vmasks = [0] * k  # vmasks[j]: the vertices the j-edge prefix touches
     prefix: list[int] = []
     j = 0  # edges in the prefix
     e = 0  # next edge to try at position j
-    front = -1
     steps = 0
     check_at = 2048
     while True:
         if j == k - 1:
-            lasts = every >> e << e  # the edges after the prefix
-            pmask = pmasks[j]
             vmask = vmasks[j]
-            if pool.front != front:
-                front = pool.front
-                front_touch = touch[front]
-            ahead = lasts if pmask & front_touch else lasts & front_touch
-            while ahead:
-                low = ahead & -ahead
-                ahead ^= low
+            lasts = every >> e << e  # the edges after the prefix
+            pooled = 0  # the members that have narrowed lasts
+            while True:
+                if pooled != len(touch):
+                    missing = (1 << len(touch)) - (1 << pooled)
+                    pooled = len(touch)
+                    for p in prefix:
+                        missing &= ~by_edge[p]
+                    while missing and lasts:
+                        low = missing & -missing
+                        missing ^= low
+                        lasts &= touch[low.bit_length() - 1]
+                if not lasts:
+                    break
+                low = lasts & -lasts
+                lasts ^= low
                 last = low.bit_length() - 1
                 if needs[last] & ~vmask:
                     continue
                 steps += 1
-                yield pmask | low, (*prefix, last)
-                if pool.front != front:
-                    front = pool.front
-                    front_touch = touch[front]
-                    ahead = lasts & -(low << 1)
-                    if not pmask & front_touch:
-                        ahead &= front_touch
+                yield (*prefix, last)
         elif e < n - (k - 1 - j):
             steps += 1
             if deadline is not None and steps >= check_at:
@@ -239,7 +223,6 @@ def _sets_touching_front(
                     raise TimeBudgetExceeded(f"deadline hit after {steps} scan steps at size {k}")
                 check_at = steps + 2048
             if not needs[e] & ~vmasks[j]:
-                pmasks[j + 1] = pmasks[j] | 1 << e
                 vmasks[j + 1] = vmasks[j] | ends[e]
                 prefix.append(e)
                 j += 1
@@ -258,7 +241,7 @@ def find_bondage_set_up_to(
     or None once every size up to max_size has been refuted.
 
     The sizes are scanned in turn, each in lexicographic order of edge
-    indices, over the twin leaders (``_sets_touching_front``): the sets
+    indices, over the twin leaders (``_sets_touching_pool``): the sets
     every prefix of which touches a prefix of every closed-twin class.
     Twin swaps preserve the domination number, so it is enough to scan the
     least set of every symmetry class, and that set is a twin leader.
@@ -273,14 +256,14 @@ def find_bondage_set_up_to(
     least bondage set of a size is the least of its class, the first
     bondage set met is the witness.
 
-    The scan skips in bulk the sets that miss the pool's front member: that
-    member still dominates after such a removal, so only the sets that touch
-    it are visited.  The pool only filters; the exact solver has the final
+    The scan skips in bulk the sets that miss some pool member, which still
+    dominates after such a removal, so only the sets that touch every member
+    are visited.  The pool only filters; the exact solver has the final
     word on survivors.  ``deadline`` is a ``time.monotonic()`` instant
     (None: unlimited), checked on entry, every 2,048 scan steps and inside
     each gamma and solver call; passing it raises ``TimeBudgetExceeded``.
     """
-    _check_entry(deadline)
+    _check_entry(deadline, "bondage scan")
     edges = graph.edges()
     if max_size <= 0 or not edges:
         return None
@@ -292,11 +275,11 @@ def find_bondage_set_up_to(
     pool.add(_cover_within(closed, full, gamma, deadline))
     survives = pool.some_member_survives
     scan = chain.from_iterable(
-        _sets_touching_front(pool, ends, needs, k, deadline)
+        _sets_touching_pool(pool, ends, needs, k, deadline)
         for k in range(1, min(max_size, len(edges)) + 1)
     )
-    for zmask, combo in scan:
-        if survives(zmask, combo):
+    for combo in scan:
+        if survives(combo):
             continue
         # no pooled set survives; ask the exact solver
         damaged = closed.copy()

@@ -38,9 +38,9 @@ class TimeBudgetExceeded(RuntimeError):
     """A search ran past its wall-clock deadline."""
 
 
-def _check_entry(deadline: float | None) -> None:
+def _check_entry(deadline: float | None, search: str) -> None:
     if deadline is not None and time.monotonic() > deadline:
-        raise TimeBudgetExceeded("instance budget exhausted")
+        raise TimeBudgetExceeded(f"deadline hit on entry to the {search}")
 
 
 def _deadline(budget_seconds: float | None) -> float | None:
@@ -98,7 +98,7 @@ def _cover_within(
     every 1,024 branching nodes.  The mask can be 0 (the empty graph), so
     callers test ``is None``.
     """
-    _check_entry(deadline)
+    _check_entry(deadline, "cover search")
     if limit >= len(closed):
         return full
     if not full:
@@ -167,7 +167,7 @@ def _covers_in_lex_order(
     closed neighbour at or above the next index, or the uncovered vertices
     outnumber what the remaining picks can cover at best.
     """
-    _check_entry(deadline)
+    _check_entry(deadline, "witness search")
     order = len(closed)
     nodes = 0
     reach = [0] * (order + 1)  # reach[i]: OR of closed[i:]

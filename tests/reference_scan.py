@@ -2,13 +2,13 @@
 
 The same scan as the package's, written as one loop turn per candidate edge
 set: every k-set of edge indices is built in full, in ``combinations`` order,
-and put through the twin-prefix test on each of its prefixes, then the
-pool's front member, then the pool test, then the exact solver.  The twin
-classes are worked out here from the closed rows.  The package skips the
-sets that fail either of the first two tests in bulk, so its pool tests,
-solver calls and witnesses must equal this loop's.  ``ReferencePool`` runs
-the pool test member by member, so the package's per-edge member masks are
-checked against it too.
+and put through the twin-prefix test on each of its prefixes, then a test that
+it touches every pool member, then the pool test, then the exact solver.
+The twin classes are worked out here from the closed rows.  The package
+skips the sets that fail either of the first two tests in bulk, so its pool
+tests, solver calls and witnesses must equal this loop's.  ``ReferencePool``
+runs the pool test member by member, so the package's per-edge member masks
+are checked against it too.
 """
 
 from __future__ import annotations
@@ -24,11 +24,11 @@ class ReferencePool(bondage._DominatingPool):
 
     __slots__ = ()
 
-    def some_member_survives(self, zmask, zedges):
+    def some_member_survives(self, zedges):
         touch = self.touch
+        zmask = sum(1 << e for e in zedges)
         for i in range(len(touch)):
             if zmask & touch[i] == 0:
-                self.front = i
                 return True
         # every member is touched; run the exact spare-dominator test
         for i in range(len(touch)):
@@ -94,9 +94,9 @@ def reference_find_bondage_set_up_to(graph, max_size):
             zmask = 0
             for e in combo:
                 zmask |= bit[e]
-            if zmask & touch[pool.front] == 0:
+            if not all(zmask & t for t in touch):
                 continue
-            if survives(zmask, combo):
+            if survives(combo):
                 continue
             damaged = closed.copy()
             for e in combo:

@@ -150,10 +150,7 @@ def test_pool_filter_rejections_are_sound():
     rejected = []
     for k in (1, 2):
         for combo in combinations(range(len(edges)), k):
-            zmask = 0
-            for e in combo:
-                zmask |= 1 << e
-            if pool.some_member_survives(zmask, combo):
+            if pool.some_member_survives(combo):
                 rejected.append(combo)
     sample = rng.sample(rejected, max(1, len(rejected) // 100))
     for combo in sample:
@@ -195,10 +192,7 @@ def test_member_masks_match_per_member_pool_test(pooled, data):
     combos = st.lists(st.sampled_from(range(len(edges))), min_size=1, max_size=5, unique=True)
     for combo in data.draw(st.lists(combos, min_size=1, max_size=20)):
         zedges = tuple(sorted(combo))
-        zmask = sum(1 << e for e in zedges)
-        expected = reference.some_member_survives(zmask, zedges)
-        assert pool.some_member_survives(zmask, zedges) == expected
-        assert pool.front == reference.front
+        assert pool.some_member_survives(zedges) == reference.some_member_survives(zedges)
 
 
 def test_bondage_search_at_order_26():
@@ -246,10 +240,11 @@ def test_frontier_refutation_of_k12():
     assert find_bondage_set_up_to(prod, 5) is None
 
 
-def _brute_sets_touching(graph, touch, k):
+def _brute_sets_touching(graph, touches, k):
     """Every k-set of edge indices, in ``combinations`` order, every prefix
     of which passes the twin-prefix test of ``reference_scan``, and which
-    meets the edge mask ``touch``.  Only prefixes that pass are extended."""
+    meets every edge mask in ``touches``.  Only prefixes that pass are
+    extended."""
     n_edges = len(graph.edges())
     twin_prefix = _twin_prefix_test(graph, graph.edges())
     found = []
@@ -257,8 +252,8 @@ def _brute_sets_touching(graph, touch, k):
     def grow(combo):
         if len(combo) == k:
             mask = sum(1 << e for e in combo)
-            if mask & touch:
-                found.append((mask, combo))
+            if all(mask & touch for touch in touches):
+                found.append(combo)
             return
         for e in range(combo[-1] + 1 if combo else 0, n_edges):
             if twin_prefix((*combo, e)):
@@ -268,36 +263,45 @@ def _brute_sets_touching(graph, touch, k):
     return found
 
 
-def _assert_scan_with_pinned_front_is_brute_force(graph, sizes):
-    """With a one-member pool the front stays at member 0, so the scan must
-    yield exactly the sets the brute-force filter keeps, in its order."""
+def _assert_scan_is_brute_force(graph, members, sizes):
+    """With the pool holding ``members`` (a cover of the graph if None), the
+    scan must yield exactly the sets the brute-force filter keeps, in its
+    order."""
     edges = graph.edges()
     closed = graph.closed_rows()
-    member = _cover_within(closed, graph.full_mask, gamma_value(graph))
+    if members is None:
+        members = [_cover_within(closed, graph.full_mask, gamma_value(graph))]
     pool = _DominatingPool(graph, edges)
-    pool.add(member)
+    for dmask in members:
+        pool.add(dmask)
     ends, needs = _twin_needs(closed, edges)
     for k in sizes:
-        scanned = list(bondage._sets_touching_front(pool, ends, needs, k, None))
-        assert scanned == _brute_sets_touching(graph, pool.touch[0], k), k
-    assert pool.front == 0
+        scanned = list(bondage._sets_touching_pool(pool, ends, needs, k, None))
+        assert scanned == _brute_sets_touching(graph, pool.touch, k), k
 
 
 @pytest.mark.parametrize("m, n", [(6, 2), (3, 5)])
 def test_depth_first_scan_matches_brute_force_filter(m, n):
     prod, _ = strong_product(complete_graph(m), path_graph(n))
-    _assert_scan_with_pinned_front_is_brute_force(prod, range(1, 6))
+    _assert_scan_is_brute_force(prod, None, range(1, 6))
 
 
 @given(graphs_with_planted_twins())
 @settings(max_examples=40, deadline=None)
 def test_depth_first_scan_matches_brute_force_filter_on_planted_twins(g):
-    _assert_scan_with_pinned_front_is_brute_force(g, range(1, min(5, len(g.edges())) + 1))
+    _assert_scan_is_brute_force(g, None, range(1, min(5, len(g.edges())) + 1))
+
+
+@given(damaged_pools())
+@settings(max_examples=40, deadline=None)
+def test_scan_meets_every_member_of_a_damaged_pool(pooled):
+    g, members = pooled
+    _assert_scan_is_brute_force(g, members, range(1, min(4, len(g.edges())) + 1))
 
 
 def _recorded_scan(search, graph, size):
-    """The search's answer, and its pool tests (candidate mask and edges,
-    result, front before and after, pool size) and pool additions in order.
+    """The search's answer, and its pool tests (candidate edges, result,
+    pool size) and pool additions in order.
     Both the package's pool and the reference's per-member pool record."""
     log = []
 
@@ -307,10 +311,9 @@ def _recorded_scan(search, graph, size):
                 log.append(dmask)
                 super().add(dmask)
 
-            def some_member_survives(self, zmask, zedges):
-                front = self.front
-                result = super().some_member_survives(zmask, zedges)
-                log.append((zmask, zedges, result, front, self.front, len(self.touch)))
+            def some_member_survives(self, zedges):
+                result = super().some_member_survives(zedges)
+                log.append((zedges, result, len(self.touch)))
                 return result
 
         return RecordingPool
@@ -343,11 +346,11 @@ def test_no_edge_set_is_pool_tested_twice(m, n):
 
 
 def test_deadline_fires_inside_a_long_refutation():
-    # km-pn(4,10) has b = 6; refuting sizes up to 5 runs for seconds
-    prod, _ = strong_product(complete_graph(4), path_graph(10))
+    # km-pn(5,7) has b = 8; refuting sizes up to 7 runs for over ten seconds
+    prod, _ = strong_product(complete_graph(5), path_graph(7))
     start = time.monotonic()
     with pytest.raises(TimeBudgetExceeded):
-        find_bondage_set_up_to(prod, 5, deadline=start + 0.2)
+        find_bondage_set_up_to(prod, 7, deadline=start + 0.2)
     assert time.monotonic() - start < 2
 
 
@@ -365,7 +368,7 @@ class _TickingClock:
 
 
 def test_deadline_fires_inside_the_scan_at_a_fixed_tick():
-    # km-pn(4,10) reads the clock 429 times to refute sizes up to 5; read 301
+    # km-pn(4,10) reads the clock 373 times to refute sizes up to 5; read 301
     # is a scan-step check at size 5
     prod, _ = strong_product(complete_graph(4), path_graph(10))
     clock = _TickingClock()
@@ -373,3 +376,18 @@ def test_deadline_fires_inside_the_scan_at_a_fixed_tick():
         with pytest.raises(TimeBudgetExceeded, match=r"after \d+ scan steps at size 5$"):
             find_bondage_set_up_to(prod, 5, deadline=300)
     assert clock.ticks == 301
+
+
+@pytest.mark.parametrize(
+    "search, name",
+    [
+        (lambda: find_bondage_set_up_to(path_graph(3), 1, deadline=0), "bondage scan"),
+        # gamma of P_3 reads the clock once, in its one cover search
+        (lambda: domination.domination_number(path_graph(3), deadline=1), "witness search"),
+    ],
+)
+def test_entry_check_names_the_search(search, name):
+    clock = _TickingClock()
+    with patch.object(bondage, "time", clock), patch.object(domination, "time", clock):
+        with pytest.raises(TimeBudgetExceeded, match=f"on entry to the {name}$"):
+            search()

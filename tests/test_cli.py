@@ -58,7 +58,7 @@ def test_gamma_rejects_search_flags(capsys, flags):
     "flags, prefix",
     [
         (
-            ("bondage", "--family", "km-pn", "--m", "4", "--n", "7")
+            ("bondage", "--family", "km-pn", "--m", "5", "--n", "7")
             + ("--budget-seconds", "0.05"),
             "skipped: ",
         ),
@@ -128,7 +128,7 @@ def test_verify_command(capsys):
 
 @pytest.mark.parametrize("command", ["verify", "sweep"])
 def test_skipped_entry_exits_1(capsys, command):
-    flags = (command, "--family", "km-pn", "--m", "4", "--n", "7", "--quantity", "bondage")
+    flags = (command, "--family", "km-pn", "--m", "5", "--n", "7", "--quantity", "bondage")
     code, out = run(capsys, *flags, "--budget-seconds", "0.05", "--json")
     assert code == 1
     assert json.loads(out)["summary"] == {"pass": 0, "fail": 0, "skipped": 1}
