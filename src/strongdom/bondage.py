@@ -3,13 +3,16 @@ constructive edge sets that certify the paper's upper bounds are built by
 ``harness.prescribed_bondage_set``.
 
 Each size is scanned once, in lexicographic order of edge indices, over
-only the twin leaders: the edge sets every prefix of which touches a prefix
-of every closed-twin class (closed twins are vertices with equal closed
-neighbourhoods; in K_m x T each column is one class).  The least member of
-every twin-symmetry class of edge sets is a twin leader, as in orderly
-generation (Read, Ann. Discrete Math. 2, 1978; McKay, J. Algorithms 26,
-1998), so each size is refuted exhaustively and the first bondage set met
-is the lexicographically least of the least size.
+only the leaders: the edge sets every prefix of which touches a prefix of
+every closed-twin class (closed twins are vertices with equal closed
+neighbourhoods; in K_m x T each column is one class), and is mapped to no
+smaller set by the mirror, one fixed automorphism (on K_m x P_n the path
+reflection; the identity where the vertex reversal is no automorphism).
+The least member of every symmetry class of edge sets under twin swaps and
+the mirror is a leader, as in orderly generation and isomorph rejection
+(Read, Ann. Discrete Math. 2, 1978; McKay, J. Algorithms 26, 1998), so each
+size is refuted exhaustively and the first bondage set met is the
+lexicographically least of the least size.
 
 The search keeps a pool of minimum dominating sets of the intact graph.  Any
 candidate edge set that leaves some pool member dominating cannot have raised
@@ -22,8 +25,9 @@ each member in turn, skipping the members that one of its edges alone
 undominates (a single-edge kill, kept per edge as a mask over members).
 Survivors are confirmed with the exact solver, which keeps the search
 exhaustive and exact regardless of pool quality.  The scan is a depth-first
-search that grows each candidate edge by edge and extends a prefix only
-while it is a twin leader itself.
+search that grows each candidate edge by edge, popping each next edge from
+a bit mask of the edges that keep the prefix touching a prefix of every
+twin class, and extends a prefix only while it is a leader itself.
 
 The pool grows lazily, as in the implicit hitting set loop of Chandrasekaran,
 Karp, Moreno-Centeno and Vempala (SODA 2011): it starts from one minimum
@@ -138,64 +142,111 @@ class _DominatingPool:
         return False
 
 
-def _twin_needs(closed: Sequence[int], edges: Sequence[Edge]) -> tuple[list[int], list[int]]:
-    """Per edge, the vertex masks ``ends`` (its endpoints) and ``needs``.
+_Tables = tuple[int, int, list[int], list[int], list[int]]
+
+
+def _scan_tables(closed: Sequence[int], edges: Sequence[Edge]) -> _Tables:
+    """The masks ``_sets_touching_pool`` walks: ``(start, reach, opens, links,
+    images)``.
 
     ``closed`` holds the closed rows; vertices with equal rows are closed
-    twins, and each twin class is ordered by vertex index.  ``needs`` holds
-    each endpoint's previous twin (the next lower vertex of its class), less
-    the edge's own endpoints: an edge set touches a prefix of every twin
-    class iff every vertex its edges need is one it touches.  An edge that
-    needs nothing is the least edge joining its pair of twin classes.
+    twins, and each twin class is ordered by vertex index.  A vertex is
+    open once its previous twin is touched, and a class's least vertex is
+    open from the start.  An edge is admissible iff both its endpoints are
+    open, or it joins an open vertex to that vertex's next twin: exactly the
+    edges that keep a set touching a prefix of every class.  For the empty
+    set, ``start`` holds the admissible edges, the least edge joining each
+    pair of classes, and ``reach`` the edges with an open endpoint.
+    Touching ``v`` opens its next twin ``x``; ``opens[v]`` is the edges
+    incident to ``x`` and ``links[v]`` the edge from ``x`` to its own next
+    twin (0 where there is none).  The tables are built in one pass over the
+    classes, opening each least vertex in turn.
+
+    ``images[e]`` is the bit of ``g(e)``.  If the reversal ``v -> order - 1 -
+    v`` is an automorphism, ``g`` follows it by reversing the order inside
+    every twin class, so that it maps class prefixes onto class prefixes (on
+    K_m x P_n, the path reflection); else ``g`` is the identity.
     """
-    last_bit: dict[int, int] = {}  # closed row -> bit of its latest vertex
-    previous: list[int] = []
+    order = len(closed)
+    incident = [0] * order
+    for e, (u, v) in enumerate(edges):
+        incident[u] |= 1 << e
+        incident[v] |= 1 << e
+    classes: dict[int, list[int]] = {}
     for v, row in enumerate(closed):
-        previous.append(last_bit.get(row, 0))
-        last_bit[row] = 1 << v
-    ends = [1 << u | 1 << v for u, v in edges]
-    needs = [(previous[u] | previous[v]) & ~ends[e] for e, (u, v) in enumerate(edges)]
-    return ends, needs
+        classes.setdefault(row, []).append(v)
+    width = f"0{order}b"
+    mirrored = all(  # each closed row, bit-reversed, is the row of v's mirror
+        int(format(closed[v], width)[::-1], 2) == closed[order - 1 - v]
+        for v in range((order + 1) // 2)
+    )
+    image = list(range(order))
+    opens = [0] * order
+    links = [0] * order
+    start = reach = 0
+    for members in classes.values():
+        inc = [incident[v] for v in members] + [0, 0]
+        lead = inc[0]
+        start |= lead & reach | lead & inc[1]
+        reach |= lead
+        for i, v in enumerate(members):
+            opens[v] = inc[i + 1]
+            links[v] = inc[i + 1] & inc[i + 2]
+        if mirrored:
+            for v, w in zip(members, reversed(members)):
+                image[v] = order - 1 - w
+    images = [incident[image[u]] & incident[image[v]] for u, v in edges]
+    return start, reach, opens, links, images
 
 
 def _sets_touching_pool(
     pool: _DominatingPool,
-    ends: Sequence[int],
-    needs: Sequence[int],
+    tables: _Tables,
     k: int,
     deadline: float | None,
 ) -> Iterator[tuple[int, ...]]:
     """Yield each k-set of edge indices, in lexicographic order, every prefix
-    of which touches a prefix of every twin class, and which touches every
-    member the pool holds when the scan reaches the set.
+    P of which touches a prefix of every twin class and has ``g(P) >= P``,
+    and which touches every member the pool holds when the scan reaches it.
 
     A depth-first search grows each set edge by edge in increasing index.
-    A prefix keeps the vertices it touches, and is extended by an edge only
-    if every vertex the edge needs (``_twin_needs``) is touched already; the
-    empty prefix touches nothing, so a first edge must need nothing.  Each
-    prefix edge leaves room for the edges still to come.  The last edges of
-    a (k-1)-edge prefix are one bit mask: the edges after it, ANDed with the
+    Each prefix keeps the vertices it touches, its admissible edges
+    (``_scan_tables``) and the edges with an open endpoint, as masks, and
+    pops its next edges from the admissible mask above its last edge,
+    leaving room for the edges still to come.  Touching a vertex opens its
+    next twin ``x``, which makes admissible the edges from ``x`` to an open
+    vertex and the edge from ``x`` to its next twin.  A prefix also keeps
+    the edge mask ``fm`` of its image under ``g`` and the mask ``diff`` of
+    the edges in the prefix or its image but not both.  A set and its image
+    have the same size, so an edge is skipped iff the grown prefix's image
+    is smaller: iff the lowest edge of the grown ``diff`` is in the grown
+    ``fm``.  An equal image is never skipped.  The last edges of a
+    (k-1)-edge prefix are its admissible edges after it, ANDed with the
     touch mask of every member the prefix misses, since a set that misses a
-    member leaves it dominating.  The pool grows only when the caller adds
-    a solver's cover, so after a yield that grew it the mask is narrowed by
-    the new members the prefix misses.  Prefix edges tried and visited sets
-    both count as steps, and the deadline is checked at the first prefix
-    edge after every 2,048 steps.
+    member leaves it dominating.  The pool grows only when the caller adds a
+    solver's cover, so after a yield that grew it the mask is narrowed by
+    the new members the prefix misses.  Prefixes pushed and sets visited
+    both count as steps, and the deadline is checked at the first push
+    after every 2,048 steps.
     """
-    n = len(ends)
+    start, reach, opens, links, images = tables
+    edges = pool.edges
     touch = pool.touch
     by_edge = pool.by_edge
-    every = (1 << n) - 1
-    vmasks = [0] * k  # vmasks[j]: the vertices the j-edge prefix touches
+    n = len(edges)
+    # room[j]: the edges a j-edge prefix may push, leaving k - 1 - j to come
+    room = [(1 << (n - k + 1 + j)) - 1 for j in range(k)]
+    levels: list[tuple[int, int, int, int, int, int]] = []
     prefix: list[int] = []
+    allowed = start
+    vmask = diff = fm = 0
+    todo = start & room[0]
     j = 0  # edges in the prefix
-    e = 0  # next edge to try at position j
     steps = 0
     check_at = 2048
     while True:
         if j == k - 1:
-            vmask = vmasks[j]
-            lasts = every >> e << e  # the edges after the prefix
+            lasts = todo
             pooled = 0  # the members that have narrowed lasts
             while True:
                 if pooled != len(touch):
@@ -212,26 +263,45 @@ def _sets_touching_pool(
                 low = lasts & -lasts
                 lasts ^= low
                 last = low.bit_length() - 1
-                if needs[last] & ~vmask:
+                image = images[last]
+                d = diff ^ low ^ image
+                if d & -d & (fm | image):
                     continue
                 steps += 1
                 yield (*prefix, last)
-        elif e < n - (k - 1 - j):
+        elif todo:
+            low = todo & -todo
+            todo ^= low
+            e = low.bit_length() - 1
+            image = images[e]
+            d = diff ^ low ^ image
+            if d & -d & (fm | image):
+                continue
             steps += 1
             if deadline is not None and steps >= check_at:
                 if time.monotonic() > deadline:
                     raise TimeBudgetExceeded(f"deadline hit after {steps} scan steps at size {k}")
                 check_at = steps + 2048
-            if not needs[e] & ~vmasks[j]:
-                vmasks[j + 1] = vmasks[j] | ends[e]
-                prefix.append(e)
-                j += 1
-            e += 1
+            levels.append((todo, allowed, reach, vmask, diff, fm))
+            u, v = edges[e]
+            if not vmask >> u & 1:
+                allowed |= opens[u] & reach | links[u]
+                reach |= opens[u]
+            if not vmask >> v & 1:
+                allowed |= opens[v] & reach | links[v]
+                reach |= opens[v]
+            vmask |= 1 << u | 1 << v
+            diff = d
+            fm |= image
+            prefix.append(e)
+            j += 1
+            todo = allowed >> e + 1 << e + 1 & room[j]
             continue
         if not j:
             return
         j -= 1
-        e = prefix.pop() + 1
+        prefix.pop()
+        todo, allowed, reach, vmask, diff, fm = levels.pop()
 
 
 def find_bondage_set_up_to(
@@ -241,27 +311,29 @@ def find_bondage_set_up_to(
     or None once every size up to max_size has been refuted.
 
     The sizes are scanned in turn, each in lexicographic order of edge
-    indices, over the twin leaders (``_sets_touching_pool``): the sets
-    every prefix of which touches a prefix of every closed-twin class.
-    Twin swaps preserve the domination number, so it is enough to scan the
-    least set of every symmetry class, and that set is a twin leader.
-    Squeezing a set's touched members of each class onto the class prefix,
-    in their own order, lowers some vertex and raises none: every edge maps
-    to an edge no later, and one to an earlier edge, so the image is
-    lexicographically smaller; the least set therefore touches a prefix of
-    every class.  Its prefixes are least in their classes too: if a twin
-    swap g maps a prefix P of a set B to a smaller set, let x be the least
-    edge of g(P) or P but not both; it lies in g(P), every edge of B below
-    x lies in P and so in g(B), and x is not in B, so g(B) < B.  As the
-    least bondage set of a size is the least of its class, the first
-    bondage set met is the witness.
+    indices, over the leaders (``_sets_touching_pool``): the sets every
+    prefix P of which touches a prefix of every closed-twin class and has
+    ``g(P) >= P`` for the mirror ``g`` (``_scan_tables``).  Twin swaps and
+    ``g`` are automorphisms, which preserve the domination number of G - B,
+    so it is enough to scan the least set of every symmetry class, and that
+    set is a leader.  Squeezing a set's touched members of each class onto
+    the class prefix, in their own order, lowers some vertex and raises
+    none: every edge maps to an edge no later, and one to an earlier edge,
+    so the image is lexicographically smaller; the least set therefore
+    touches a prefix of every class.  Its prefixes pass both tests too: if
+    any fixed edge permutation h (a twin swap, or ``g``) maps a prefix P of
+    a set B to a smaller set, let x be the least edge of h(P) or P but not
+    both; it lies in h(P), every edge of B below x lies in P and so in h(B),
+    and x is not in B, so h(B) < B.  As the least bondage set of a size is
+    the least of its class, the first bondage set met is the witness.
 
     The scan skips in bulk the sets that miss some pool member, which still
     dominates after such a removal, so only the sets that touch every member
     are visited.  The pool only filters; the exact solver has the final
     word on survivors.  ``deadline`` is a ``time.monotonic()`` instant
-    (None: unlimited), checked on entry, every 2,048 scan steps and inside
-    each gamma and solver call; passing it raises ``TimeBudgetExceeded``.
+    (None: unlimited), checked on entry, every 2,048 scan steps (prefixes
+    pushed and sets visited) and inside each gamma and solver call; passing
+    it raises ``TimeBudgetExceeded``.
     """
     _check_entry(deadline, "bondage scan")
     edges = graph.edges()
@@ -270,12 +342,12 @@ def find_bondage_set_up_to(
     closed = graph.closed_rows()
     full = graph.full_mask
     gamma = gamma_value(graph, deadline=deadline)
-    ends, needs = _twin_needs(closed, edges)
+    tables = _scan_tables(closed, edges)
     pool = _DominatingPool(graph, edges)
     pool.add(_cover_within(closed, full, gamma, deadline))
     survives = pool.some_member_survives
     scan = chain.from_iterable(
-        _sets_touching_pool(pool, ends, needs, k, deadline)
+        _sets_touching_pool(pool, tables, k, deadline)
         for k in range(1, min(max_size, len(edges)) + 1)
     )
     for combo in scan:

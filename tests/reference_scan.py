@@ -2,11 +2,12 @@
 
 The same scan as the package's, written as one loop turn per candidate edge
 set: every k-set of edge indices is built in full, in ``combinations`` order,
-and put through the twin-prefix test on each of its prefixes, then a test that
-it touches every pool member, then the pool test, then the exact solver.
-The twin classes are worked out here from the closed rows.  The package
-skips the sets that fail either of the first two tests in bulk, so its pool
-tests, solver calls and witnesses must equal this loop's.  ``ReferencePool``
+and put through the twin-prefix test and the mirror test on each of its
+prefixes, then a test that it touches every pool member, then the pool test,
+then the exact solver.  The twin classes and the mirror map are worked out
+here from the closed rows and the adjacency.  The package skips the sets
+that fail any of the first three tests in bulk, so its pool tests, solver
+calls and witnesses must equal this loop's.  ``ReferencePool``
 runs the pool test member by member, so the package's per-edge member masks
 are checked against it too.
 """
@@ -73,6 +74,34 @@ def _twin_prefix_test(graph, edges):
     return test
 
 
+def _mirror_prefix_test(graph, edges):
+    """A predicate on sorted edge-index tuples: the tuple's image under the
+    mirror map, sorted, is not lexicographically smaller than the tuple.
+
+    The mirror map reverses the vertex order, then reverses the order of the
+    vertices inside every closed-twin class.  If the reversal alone does not
+    map every edge to an edge, the map is the identity."""
+    order = graph.order
+    closed = graph.closed_rows()
+    classes = {}
+    for v in range(order):
+        classes.setdefault(closed[v], []).append(v)
+    if all(graph.has_edge(order - 1 - u, order - 1 - v) for u, v in edges):
+        mirror = []
+        for v in range(order):
+            cls = classes[closed[order - 1 - v]]
+            mirror.append(cls[len(cls) - 1 - cls.index(order - 1 - v)])
+    else:
+        mirror = list(range(order))
+    index = {edge: e for e, edge in enumerate(edges)}
+    image = [index[tuple(sorted((mirror[u], mirror[v])))] for u, v in edges]
+
+    def test(combo):
+        return tuple(sorted(image[e] for e in combo)) >= combo
+
+    return test
+
+
 def reference_find_bondage_set_up_to(graph, max_size):
     edges = graph.edges()
     if max_size <= 0 or not edges:
@@ -81,6 +110,7 @@ def reference_find_bondage_set_up_to(graph, max_size):
     full = graph.full_mask
     gamma = gamma_value(graph)
     twin_prefix = _twin_prefix_test(graph, edges)
+    mirror = _mirror_prefix_test(graph, edges)
     pool = ReferencePool(graph, edges)
     pool.add(_cover_within(closed, full, gamma))
     n_edges = len(edges)
@@ -89,7 +119,7 @@ def reference_find_bondage_set_up_to(graph, max_size):
     survives = pool.some_member_survives
     for k in range(1, min(max_size, n_edges) + 1):
         for combo in combinations(range(n_edges), k):
-            if not all(twin_prefix(combo[:i]) for i in range(1, k + 1)):
+            if not all(twin_prefix(combo[:i]) and mirror(combo[:i]) for i in range(1, k + 1)):
                 continue
             zmask = 0
             for e in combo:

@@ -4,14 +4,14 @@ from itertools import combinations
 from unittest.mock import patch
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from strongdom import bondage, domination
 from strongdom.bondage import (
     TimeBudgetExceeded,
     _DominatingPool,
-    _twin_needs,
+    _scan_tables,
     bondage_number,
     find_bondage_set_up_to,
     is_bondage_set,
@@ -28,7 +28,12 @@ from strongdom.graphs import (
 
 from brute import brute_bondage, brute_first_bondage_witness
 import reference_scan
-from reference_scan import ReferencePool, _twin_prefix_test, reference_find_bondage_set_up_to
+from reference_scan import (
+    ReferencePool,
+    _mirror_prefix_test,
+    _twin_prefix_test,
+    reference_find_bondage_set_up_to,
+)
 
 
 @st.composite
@@ -50,6 +55,29 @@ def graphs_with_planted_twins(draw):
         edges |= {(u, twin) for u, v in edges if v == src}
         edges.add((src, twin))
     return Graph.from_edges(twin + 1, sorted(edges))
+
+
+@st.composite
+def mirrored_graphs(draw):
+    """Graphs whose edges are closed under the reversal v -> order - 1 - v: a
+    random base graph closed under its own reversal, with each vertex blown
+    up into a clique of one or two closed twins, mirror vertices alike.
+    Some get one vertex pair toggled, which mostly breaks the symmetry."""
+    base = draw(st.integers(2, 5))
+    half = draw(st.lists(st.integers(1, 2), min_size=(base + 1) // 2, max_size=(base + 1) // 2))
+    copies = half + half[: base // 2][::-1]
+    assume(sum(copies) <= 7)
+    first = [sum(copies[:v]) for v in range(base)]
+    blown = [range(first[v], first[v] + copies[v]) for v in range(base)]
+    order = sum(copies)
+    possible = [(u, v) for u in range(base) for v in range(u + 1, base)]
+    joined = {(u, v) for u, v in draw(st.lists(st.sampled_from(possible), unique=True))}
+    joined |= {(base - 1 - v, base - 1 - u) for u, v in joined}
+    edges = {(x, y) for u, v in joined for x in blown[u] for y in blown[v]}
+    edges |= {pair for cls in blown for pair in combinations(cls, 2)}
+    if draw(st.booleans()):
+        edges ^= {draw(st.sampled_from(list(combinations(range(order), 2))))}
+    return Graph.from_edges(order, sorted(edges or {(0, order - 1)}))
 
 
 @st.composite
@@ -213,22 +241,33 @@ def test_twin_orbit_scan_matches_brute_force(g):
     assert find_bondage_set_up_to(g, b + 1) == witness
 
 
-def test_twin_needs_join_both_orientations_of_a_class_pair():
+@given(mirrored_graphs())
+@example(strong_product(complete_graph(2), path_graph(3))[0])  # the mirror swaps two columns
+@example(Graph.from_edges(5, [(0, 1), (0, 2), (1, 2), (3, 4)]))  # reversal is no automorphism
+@settings(max_examples=60, deadline=None)
+def test_mirror_prune_keeps_the_least_witness(g):
+    witness = brute_first_bondage_witness(g)
+    assert bondage_number(g).witness == witness
+    assert find_bondage_set_up_to(g, len(witness) - 1) is None
+
+
+def test_first_admissible_edges_join_both_orientations_of_a_class_pair():
     # 0 and 5 are closed twins, as are 1 and 2; (0, 3) and (3, 5) join the
-    # same pair of classes from opposite ends, and only the later one needs 0
+    # same pair of classes from opposite ends, and only the earlier one is
+    # admissible before 0 is touched
     g = Graph.from_edges(6, [(0, 3), (0, 5), (3, 5), (1, 2), (3, 4)])
     edges = g.edges()
-    ends, needs = _twin_needs(g.closed_rows(), edges)
-    assert ends == [1 << u | 1 << v for u, v in edges]
-    assert dict(zip(edges, needs)) == {(0, 3): 0, (0, 5): 0, (1, 2): 0, (3, 4): 0, (3, 5): 1}
+    start = _scan_tables(g.closed_rows(), edges)[0]
+    firsts = [edges[e] for e in range(len(edges)) if start >> e & 1]
+    assert firsts == [(0, 3), (0, 5), (1, 2), (3, 4)]
     assert find_bondage_set_up_to(g, len(edges)) == brute_first_bondage_witness(g)
 
 
-def test_km_pn_edges_needing_nothing_are_one_per_column_pair():
+def test_km_pn_first_admissible_edges_are_one_per_column_pair():
     prod, idx = strong_product(complete_graph(3), path_graph(4))
     edges = prod.edges()
-    _, needs = _twin_needs(prod.closed_rows(), edges)
-    leads = [e for e, need in enumerate(needs) if not need]
+    start = _scan_tables(prod.closed_rows(), edges)[0]
+    leads = [e for e in range(len(edges)) if start >> e & 1]
     assert leads == [0, 1, 5, 7, 12, 14, 20]
     columns = [tuple(sorted(idx.pair(w)[1] for w in edges[e])) for e in leads]
     assert sorted(columns) == [(0, 0), (0, 1), (1, 1), (1, 2), (2, 2), (2, 3), (3, 3)]
@@ -242,11 +281,12 @@ def test_frontier_refutation_of_k12():
 
 def _brute_sets_touching(graph, touches, k):
     """Every k-set of edge indices, in ``combinations`` order, every prefix
-    of which passes the twin-prefix test of ``reference_scan``, and which
-    meets every edge mask in ``touches``.  Only prefixes that pass are
-    extended."""
+    of which passes the twin-prefix and mirror tests of ``reference_scan``,
+    and which meets every edge mask in ``touches``.  Only prefixes that pass
+    are extended."""
     n_edges = len(graph.edges())
     twin_prefix = _twin_prefix_test(graph, graph.edges())
+    mirror = _mirror_prefix_test(graph, graph.edges())
     found = []
 
     def grow(combo):
@@ -256,7 +296,7 @@ def _brute_sets_touching(graph, touches, k):
                 found.append(combo)
             return
         for e in range(combo[-1] + 1 if combo else 0, n_edges):
-            if twin_prefix((*combo, e)):
+            if twin_prefix((*combo, e)) and mirror((*combo, e)):
                 grow((*combo, e))
 
     grow(())
@@ -274,9 +314,9 @@ def _assert_scan_is_brute_force(graph, members, sizes):
     pool = _DominatingPool(graph, edges)
     for dmask in members:
         pool.add(dmask)
-    ends, needs = _twin_needs(closed, edges)
+    tables = _scan_tables(closed, edges)
     for k in sizes:
-        scanned = list(bondage._sets_touching_pool(pool, ends, needs, k, None))
+        scanned = list(bondage._sets_touching_pool(pool, tables, k, None))
         assert scanned == _brute_sets_touching(graph, pool.touch, k), k
 
 
@@ -368,14 +408,14 @@ class _TickingClock:
 
 
 def test_deadline_fires_inside_the_scan_at_a_fixed_tick():
-    # km-pn(4,10) reads the clock 373 times to refute sizes up to 5; read 301
-    # is a scan-step check at size 5
+    # km-pn(4,10) reads the clock 133 times to refute sizes up to 5; read 101
+    # is a scan-step check at size 5, between two solver entry checks
     prod, _ = strong_product(complete_graph(4), path_graph(10))
     clock = _TickingClock()
     with patch.object(bondage, "time", clock), patch.object(domination, "time", clock):
         with pytest.raises(TimeBudgetExceeded, match=r"after \d+ scan steps at size 5$"):
-            find_bondage_set_up_to(prod, 5, deadline=300)
-    assert clock.ticks == 301
+            find_bondage_set_up_to(prod, 5, deadline=100)
+    assert clock.ticks == 101
 
 
 @pytest.mark.parametrize(
