@@ -17,17 +17,19 @@ lexicographically least of the least size.
 The search keeps a pool of minimum dominating sets of the intact graph.  Any
 candidate edge set that leaves some pool member dominating cannot have raised
 the domination number.  Only an edge with exactly one endpoint in a member
-can break its domination, so the scan visits only the sets that touch every
-member: the sets that miss one are skipped in bulk, as the last edges of
-each prefix are narrowed, as one bit mask, to the edges that touch every
-member the prefix misses.  A visited set gets the spare-dominator count on
-each member in turn, skipping the members that one of its edges alone
-undominates (a single-edge kill, kept per edge as a mask over members).
-Survivors are confirmed with the exact solver, which keeps the search
-exhaustive and exact regardless of pool quality.  The scan is a depth-first
-search that grows each candidate edge by edge, popping each next edge from
-a bit mask of the edges that keep the prefix touching a prefix of every
-twin class, and extends a prefix only while it is a leader itself.
+can break its domination; as a bit mask over edges, a member's touch mask is
+the XOR of its vertices' incident-edge masks.  So the scan visits only the
+sets that touch every member: the sets that miss one are skipped in bulk,
+as the last edges of each prefix are narrowed, as one bit mask, to the
+edges that touch every member the prefix misses.  A visited set gets the
+spare-dominator count on each member in turn, skipping the members that one
+of its edges alone undominates (a single-edge kill, kept per edge as a mask
+over members).  Survivors are confirmed with the exact solver, which keeps
+the search exhaustive and exact regardless of pool quality.  The scan is a
+depth-first search that grows each candidate edge by edge, popping each
+next edge, the last one included, from a bit mask of the edges that keep
+the prefix touching a prefix of every twin class, and extends a prefix only
+while it is a leader itself.
 
 The pool grows lazily, as in the implicit hitting set loop of Chandrasekaran,
 Karp, Moreno-Centeno and Vempala (SODA 2011): it starts from one minimum
@@ -44,7 +46,7 @@ from itertools import chain
 from typing import Iterable, Iterator, Sequence
 
 from .domination import TimeBudgetExceeded, _check_entry, _cover_within, gamma_value
-from .graphs import Edge, Graph, remove_edges
+from .graphs import Edge, Graph, iter_bits, remove_edges
 
 
 @dataclass(frozen=True)
@@ -68,22 +70,29 @@ def is_bondage_set(
 class _DominatingPool:
     """Minimum dominating sets of the intact graph, indexed for fast damage tests.
 
-    ``touch[i]`` is the mask (over edge indices) of edges with exactly one
-    endpoint in member ``i``; only those removals can break its domination,
-    so the scan yields only sets that meet every member's mask.  Such an edge
-    ``e`` joins the member to ``w = targets[i][e]``, which has
-    ``counts[i][w]`` dominators in the member; the member survives any
-    candidate that removes fewer than ``counts[i][w]`` of them for every
-    ``w``.  Per edge, as masks over member indices, ``by_edge[e]`` holds the
-    members whose touch mask holds ``e``, and ``kill[e]`` those for which
-    ``e`` removes the only dominator of its target (``counts[i][w] <= 1``).
+    ``incident[v]`` is the mask (over edge indices) of the edges at ``v``.
+    ``touch[i]`` is the mask of edges with exactly one endpoint in member
+    ``i``: the XOR of its vertices' incident masks, in which an edge with
+    both endpoints in the member cancels.  Only those removals can break its
+    domination, so the scan yields only sets that meet every member's mask.
+    ``add`` walks just these edges: each joins the member to ``w =
+    targets[i][e]``, which has ``counts[i][w]`` dominators in the member;
+    the member survives any candidate that removes fewer than
+    ``counts[i][w]`` of them for every ``w``.  Per edge, as masks over
+    member indices, ``by_edge[e]`` holds the members whose touch mask holds
+    ``e``, and ``kill[e]`` those for which ``e`` removes the only dominator
+    of its target (``counts[i][w] <= 1``).
     """
 
-    __slots__ = ("graph", "edges", "touch", "targets", "counts", "by_edge", "kill")
+    __slots__ = ("graph", "edges", "incident", "touch", "targets", "counts", "by_edge", "kill")
 
     def __init__(self, graph: Graph, edges: Sequence[Edge]):
         self.graph = graph
         self.edges = edges
+        self.incident = [0] * graph.order
+        for e, (u, v) in enumerate(edges):
+            self.incident[u] |= 1 << e
+            self.incident[v] |= 1 << e
         self.touch: list[int] = []
         self.targets: list[dict[int, int]] = []
         self.counts: list[list[int]] = []
@@ -91,23 +100,18 @@ class _DominatingPool:
         self.kill = [0] * len(edges)
 
     def add(self, dmask: int) -> None:
-        graph = self.graph
-        counts = [0] * graph.order
-        for w in range(graph.order):
-            if not dmask >> w & 1:
-                counts[w] = (graph.rows[w] & dmask).bit_count()
+        counts = [(row & dmask).bit_count() for row in self.graph.rows]
         member = 1 << len(self.touch)
         touch = 0
+        for v in iter_bits(dmask):
+            touch ^= self.incident[v]
         targets: dict[int, int] = {}
-        for e_index, (u, v) in enumerate(self.edges):
-            u_in = dmask >> u & 1
-            v_in = dmask >> v & 1
-            if u_in != v_in:
-                touch |= 1 << e_index
-                w = targets[e_index] = v if u_in else u
-                self.by_edge[e_index] |= member
-                if counts[w] <= 1:
-                    self.kill[e_index] |= member
+        for e in iter_bits(touch):
+            u, v = self.edges[e]
+            w = targets[e] = u if dmask >> v & 1 else v
+            self.by_edge[e] |= member
+            if counts[w] <= 1:
+                self.kill[e] |= member
         self.touch.append(touch)
         self.targets.append(targets)
         self.counts.append(counts)
@@ -145,21 +149,24 @@ class _DominatingPool:
 _Tables = tuple[int, int, list[int], list[int], list[int]]
 
 
-def _scan_tables(closed: Sequence[int], edges: Sequence[Edge]) -> _Tables:
+def _scan_tables(
+    closed: Sequence[int], edges: Sequence[Edge], incident: Sequence[int]
+) -> _Tables:
     """The masks ``_sets_touching_pool`` walks: ``(start, reach, opens, links,
     images)``.
 
-    ``closed`` holds the closed rows; vertices with equal rows are closed
-    twins, and each twin class is ordered by vertex index.  A vertex is
-    open once its previous twin is touched, and a class's least vertex is
-    open from the start.  An edge is admissible iff both its endpoints are
-    open, or it joins an open vertex to that vertex's next twin: exactly the
-    edges that keep a set touching a prefix of every class.  For the empty
-    set, ``start`` holds the admissible edges, the least edge joining each
-    pair of classes, and ``reach`` the edges with an open endpoint.
-    Touching ``v`` opens its next twin ``x``; ``opens[v]`` is the edges
-    incident to ``x`` and ``links[v]`` the edge from ``x`` to its own next
-    twin (0 where there is none).  The tables are built in one pass over the
+    ``closed`` holds the closed rows and ``incident`` the pool's
+    incident-edge masks; vertices with equal rows are closed twins, and
+    each twin class is ordered by vertex index.  A vertex is open once its
+    previous twin is touched, and a class's least vertex is open from the
+    start.  An edge is admissible iff both its endpoints are open, or it
+    joins an open vertex to that vertex's next twin: exactly the edges that
+    keep a set touching a prefix of every class.  For the empty set,
+    ``start`` holds the admissible edges, the least edge joining each pair
+    of classes, and ``reach`` the edges with an open endpoint.  Touching
+    ``v`` opens its next twin ``x``; ``opens[v]`` is the edges incident to
+    ``x`` and ``links[v]`` the edge from ``x`` to its own next twin (0
+    where there is none).  The tables are built in one pass over the
     classes, opening each least vertex in turn.
 
     ``images[e]`` is the bit of ``g(e)``.  If the reversal ``v -> order - 1 -
@@ -168,10 +175,6 @@ def _scan_tables(closed: Sequence[int], edges: Sequence[Edge]) -> _Tables:
     K_m x P_n, the path reflection); else ``g`` is the identity.
     """
     order = len(closed)
-    incident = [0] * order
-    for e, (u, v) in enumerate(edges):
-        incident[u] |= 1 << e
-        incident[v] |= 1 << e
     classes: dict[int, list[int]] = {}
     for v, row in enumerate(closed):
         classes.setdefault(row, []).append(v)
@@ -220,21 +223,24 @@ def _sets_touching_pool(
     the edges in the prefix or its image but not both.  A set and its image
     have the same size, so an edge is skipped iff the grown prefix's image
     is smaller: iff the lowest edge of the grown ``diff`` is in the grown
-    ``fm``.  An equal image is never skipped.  The last edges of a
-    (k-1)-edge prefix are its admissible edges after it, ANDed with the
-    touch mask of every member the prefix misses, since a set that misses a
-    member leaves it dominating.  The pool grows only when the caller adds a
-    solver's cover, so after a yield that grew it the mask is narrowed by
-    the new members the prefix misses.  Prefixes pushed and sets visited
-    both count as steps, and the deadline is checked at the first push
-    after every 2,048 steps.
+    ``fm``.  An equal image is never skipped.  A (k-1)-edge prefix pops its
+    last edges by the same loop, from its admissible edges after it ANDed
+    with the touch mask of every member the prefix misses, since a set that
+    misses a member leaves it dominating, and yields each edge that passes
+    the mirror test instead of pushing it.  ``pooled`` counts the members
+    that have narrowed the mask; every push resets it to 0, and at level
+    k-1 the members added since narrow the mask before the next pop.  The
+    pool grows only when the caller adds a solver's cover, so after a yield
+    that grew it the mask is narrowed by the new members the prefix misses.
+    Prefixes pushed and sets visited both count as steps, and the deadline
+    is checked at the first push after every 2,048 steps.
     """
     start, reach, opens, links, images = tables
     edges = pool.edges
     touch = pool.touch
     by_edge = pool.by_edge
     n = len(edges)
-    # room[j]: the edges a j-edge prefix may push, leaving k - 1 - j to come
+    # room[j]: the edges a j-edge prefix may take next, leaving k - 1 - j to come
     room = [(1 << (n - k + 1 + j)) - 1 for j in range(k)]
     levels: list[tuple[int, int, int, int, int, int]] = []
     prefix: list[int] = []
@@ -242,34 +248,20 @@ def _sets_touching_pool(
     vmask = diff = fm = 0
     todo = start & room[0]
     j = 0  # edges in the prefix
+    pooled = 0  # the members that have narrowed todo at level k - 1
     steps = 0
     check_at = 2048
     while True:
-        if j == k - 1:
-            lasts = todo
-            pooled = 0  # the members that have narrowed lasts
-            while True:
-                if pooled != len(touch):
-                    missing = (1 << len(touch)) - (1 << pooled)
-                    pooled = len(touch)
-                    for p in prefix:
-                        missing &= ~by_edge[p]
-                    while missing and lasts:
-                        low = missing & -missing
-                        missing ^= low
-                        lasts &= touch[low.bit_length() - 1]
-                if not lasts:
-                    break
-                low = lasts & -lasts
-                lasts ^= low
-                last = low.bit_length() - 1
-                image = images[last]
-                d = diff ^ low ^ image
-                if d & -d & (fm | image):
-                    continue
-                steps += 1
-                yield (*prefix, last)
-        elif todo:
+        if j == k - 1 and pooled != len(touch):
+            missing = (1 << len(touch)) - (1 << pooled)
+            pooled = len(touch)
+            for p in prefix:
+                missing &= ~by_edge[p]
+            while missing and todo:
+                low = missing & -missing
+                missing ^= low
+                todo &= touch[low.bit_length() - 1]
+        if todo:
             low = todo & -todo
             todo ^= low
             e = low.bit_length() - 1
@@ -278,6 +270,9 @@ def _sets_touching_pool(
             if d & -d & (fm | image):
                 continue
             steps += 1
+            if j == k - 1:
+                yield (*prefix, e)
+                continue
             if deadline is not None and steps >= check_at:
                 if time.monotonic() > deadline:
                     raise TimeBudgetExceeded(f"deadline hit after {steps} scan steps at size {k}")
@@ -296,6 +291,7 @@ def _sets_touching_pool(
             prefix.append(e)
             j += 1
             todo = allowed >> e + 1 << e + 1 & room[j]
+            pooled = 0  # a new prefix, whose todo no member has narrowed
             continue
         if not j:
             return
@@ -342,8 +338,8 @@ def find_bondage_set_up_to(
     closed = graph.closed_rows()
     full = graph.full_mask
     gamma = gamma_value(graph, deadline=deadline)
-    tables = _scan_tables(closed, edges)
     pool = _DominatingPool(graph, edges)
+    tables = _scan_tables(closed, edges, pool.incident)
     pool.add(_cover_within(closed, full, gamma, deadline))
     survives = pool.some_member_survives
     scan = chain.from_iterable(

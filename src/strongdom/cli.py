@@ -82,7 +82,7 @@ def _add_instance_flags(parser: argparse.ArgumentParser, ranged: bool) -> None:
 
 
 def _add_search_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--max-size", type=int, help="bondage search size cap")
+    parser.add_argument("--max-size", type=_positive_int, help="bondage search size cap")
     parser.add_argument(
         "--budget-seconds", type=_positive_seconds, help="per-instance wall budget"
     )

@@ -40,9 +40,7 @@ from .formulas import (
     bondage_complete,
     bondage_km_pn,
     bondage_km_starlike,
-    bondage_path,
     gamma_km_pn,
-    gamma_path,
     gamma_starlike,
 )
 from .graphs import (
@@ -144,33 +142,27 @@ def build_instance(spec: InstanceSpec) -> BuiltInstance:
 
 
 def formula_value(spec: InstanceSpec, quantity: str) -> int | None:
-    """Closed-form value for the instance, or None when no formula applies."""
+    """Closed-form value for the instance, or None when no formula applies.
+    Paths and complete graphs take the K_m x P_n formulas, as in
+    ``build_instance``."""
+    if quantity not in QUANTITIES:
+        raise ValueError(f"unknown quantity {quantity!r}")
+    if spec.family == "file":
+        return None
+    if spec.family == "km-starlike":
+        star = StarlikeSpec(spec.branches)
+        if quantity == "gamma":
+            return gamma_starlike(star)
+        try:
+            return bondage_km_starlike(spec.m, star)
+        except ValueError:
+            return None
+    m, n = spec.m or 1, spec.n or 1
     if quantity == "gamma":
-        if spec.family == "km-pn":
-            return gamma_km_pn(spec.m, spec.n)
-        if spec.family == "km-starlike":
-            return gamma_starlike(StarlikeSpec(spec.branches))
-        if spec.family == "path":
-            return gamma_path(spec.n)
-        if spec.family == "complete":
-            return 1
-        return None
-    if quantity == "bondage":
-        if spec.family == "km-pn":
-            if spec.n == 1:
-                return bondage_complete(spec.m) if spec.m >= 2 else None
-            return bondage_km_pn(spec.m, spec.n)
-        if spec.family == "km-starlike":
-            try:
-                return bondage_km_starlike(spec.m, StarlikeSpec(spec.branches))
-            except ValueError:
-                return None
-        if spec.family == "path":
-            return bondage_path(spec.n) if spec.n >= 2 else None
-        if spec.family == "complete":
-            return bondage_complete(spec.m) if spec.m >= 2 else None
-        return None
-    raise ValueError(f"unknown quantity {quantity!r}")
+        return gamma_km_pn(m, n)
+    if n == 1:
+        return bondage_complete(m) if m >= 2 else None
+    return bondage_km_pn(m, n)
 
 
 def prescribed_bondage_set(spec: InstanceSpec, built: BuiltInstance) -> tuple[Edge, ...] | None:

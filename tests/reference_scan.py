@@ -8,47 +8,47 @@ then the exact solver.  The twin classes and the mirror map are worked out
 here from the closed rows and the adjacency.  The package skips the sets
 that fail any of the first three tests in bulk, so its pool tests, solver
 calls and witnesses must equal this loop's.  ``ReferencePool``
-runs the pool test member by member, so the package's per-edge member masks
-are checked against it too.
+shares no code with the package's pool: it builds each member's touch mask
+edge by edge and runs the pool test as a domination check of every member on
+the damaged graph, so the package's incident-mask XOR, targets, counts and
+per-edge member masks are all checked against it.
 """
 
 from __future__ import annotations
 
 from itertools import combinations
 
-from strongdom import bondage
-from strongdom.domination import _cover_within, gamma_value
+from strongdom.domination import _cover_within, gamma_value, is_dominating
+from strongdom.graphs import remove_edges
 
 
-class ReferencePool(bondage._DominatingPool):
-    """The package's pool, with the pool test as one loop over the members."""
+class ReferencePool:
+    """A pool kept apart from the package's: member masks, each member's touch
+    mask by the per-edge "exactly one endpoint in the member" test, and the
+    pool test as a domination check of each member on the damaged graph."""
 
-    __slots__ = ()
+    def __init__(self, graph, edges):
+        self.graph = graph
+        self.edges = edges
+        self.members = []
+        self.touch = []
+
+    def add(self, dmask):
+        self.members.append(dmask)
+        self.touch.append(
+            sum(
+                1 << e
+                for e, (u, v) in enumerate(self.edges)
+                if (dmask >> u & 1) != (dmask >> v & 1)
+            )
+        )
 
     def some_member_survives(self, zedges):
-        touch = self.touch
-        zmask = sum(1 << e for e in zedges)
-        for i in range(len(touch)):
-            if zmask & touch[i] == 0:
-                return True
-        # every member is touched; run the exact spare-dominator test
-        for i in range(len(touch)):
-            targets = self.targets[i]
-            counts = self.counts[i]
-            dec: dict[int, int] = {}
-            ok = True
-            for e in zedges:
-                w = targets.get(e)
-                if w is None:
-                    continue
-                d = dec.get(w, 0) + 1
-                if d >= counts[w]:
-                    ok = False
-                    break
-                dec[w] = d
-            if ok:
-                return True
-        return False
+        damaged = remove_edges(self.graph, [self.edges[e] for e in zedges])
+        return any(
+            is_dominating(damaged, [v for v in range(damaged.order) if dmask >> v & 1])
+            for dmask in self.members
+        )
 
 
 def _twin_prefix_test(graph, edges):

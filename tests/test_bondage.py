@@ -257,7 +257,7 @@ def test_first_admissible_edges_join_both_orientations_of_a_class_pair():
     # admissible before 0 is touched
     g = Graph.from_edges(6, [(0, 3), (0, 5), (3, 5), (1, 2), (3, 4)])
     edges = g.edges()
-    start = _scan_tables(g.closed_rows(), edges)[0]
+    start = _scan_tables(g.closed_rows(), edges, _DominatingPool(g, edges).incident)[0]
     firsts = [edges[e] for e in range(len(edges)) if start >> e & 1]
     assert firsts == [(0, 3), (0, 5), (1, 2), (3, 4)]
     assert find_bondage_set_up_to(g, len(edges)) == brute_first_bondage_witness(g)
@@ -266,7 +266,7 @@ def test_first_admissible_edges_join_both_orientations_of_a_class_pair():
 def test_km_pn_first_admissible_edges_are_one_per_column_pair():
     prod, idx = strong_product(complete_graph(3), path_graph(4))
     edges = prod.edges()
-    start = _scan_tables(prod.closed_rows(), edges)[0]
+    start = _scan_tables(prod.closed_rows(), edges, _DominatingPool(prod, edges).incident)[0]
     leads = [e for e in range(len(edges)) if start >> e & 1]
     assert leads == [0, 1, 5, 7, 12, 14, 20]
     columns = [tuple(sorted(idx.pair(w)[1] for w in edges[e])) for e in leads]
@@ -314,7 +314,7 @@ def _assert_scan_is_brute_force(graph, members, sizes):
     pool = _DominatingPool(graph, edges)
     for dmask in members:
         pool.add(dmask)
-    tables = _scan_tables(closed, edges)
+    tables = _scan_tables(closed, edges, pool.incident)
     for k in sizes:
         scanned = list(bondage._sets_touching_pool(pool, tables, k, None))
         assert scanned == _brute_sets_touching(graph, pool.touch, k), k

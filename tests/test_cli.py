@@ -40,7 +40,9 @@ def test_budget_flag_accepts_fractions(capsys):
     assert json.loads(out)["bondage"] == 2
 
 
-@pytest.mark.parametrize("flags", [("--budget-seconds", "0"), ("--seed", "1")])
+@pytest.mark.parametrize(
+    "flags", [("--budget-seconds", "0"), ("--max-size", "-3"), ("--seed", "1")]
+)
 def test_bad_search_flags_are_usage_errors(capsys, flags):
     with pytest.raises(SystemExit) as exc:
         main(["bondage", "--family", "path", "--n", "4", *flags])
