@@ -87,11 +87,16 @@ def _add_search_flags(parser: argparse.ArgumentParser) -> None:
         "--budget-seconds", type=_positive_seconds, help="per-instance wall budget"
     )
     parser.add_argument("--json", action="store_true", help="emit JSON")
+
+
+def _add_verify_flags(parser: argparse.ArgumentParser) -> None:
+    _add_search_flags(parser)
     parser.add_argument(
         "--full-search",
         action="store_true",
         help="force full exact bondage search instead of witness+refutation",
     )
+    parser.add_argument("--quantity", choices=("gamma", "bondage", "both"), default="both")
 
 
 def _family(args) -> str:
@@ -231,14 +236,12 @@ def main(argv: list[str] | None = None) -> int:
 
     p = sub.add_parser("verify", help="verify one instance against its formula")
     _add_instance_flags(p, ranged=False)
-    _add_search_flags(p)
-    p.add_argument("--quantity", choices=("gamma", "bondage", "both"), default="both")
+    _add_verify_flags(p)
     p.set_defaults(func=_cmd_sweep, jobs=1)
 
     p = sub.add_parser("sweep", help="verify a parameter range")
     _add_instance_flags(p, ranged=True)
-    _add_search_flags(p)
-    p.add_argument("--quantity", choices=("gamma", "bondage", "both"), default="both")
+    _add_verify_flags(p)
     p.add_argument("--jobs", type=_positive_int, default=1, help="parallel workers")
     p.set_defaults(func=_cmd_sweep)
 

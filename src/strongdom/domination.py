@@ -9,9 +9,7 @@ closed-row popcount, narrowest first) built once per call, and tests each
 child inline, so a child that completes the cover, or a failed last pick,
 costs no call.  One pruned lexicographic search, ``_covers_in_lex_order``,
 yields the lexicographically least witness and the full list of minimum
-dominating sets.  ``domination_number`` is exact at any order; the
-enumeration refuses graphs above an explicit cap because it is inherently
-exponential and refusing loudly beats hanging.
+dominating sets.
 
 Both searches take an optional ``deadline`` (a ``time.monotonic()`` instant,
 None for unlimited), checked on entry and then every 1,024 branching nodes of
@@ -26,13 +24,6 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
 from .graphs import Graph
-
-DEFAULT_ENUMERATION_CAP = 24
-
-
-class EnumerationCapExceeded(ValueError):
-    """Raised instead of silently attempting an exponential enumeration."""
-
 
 class TimeBudgetExceeded(RuntimeError):
     """A search ran past its wall-clock deadline."""
@@ -221,9 +212,7 @@ def domination_number(graph: Graph, *, deadline: float | None = None) -> GammaRe
     return GammaResult(value, witness)
 
 
-def enumerate_min_dominating_sets(
-    graph: Graph, cap: int = DEFAULT_ENUMERATION_CAP
-) -> list[tuple[int, ...]]:
+def enumerate_min_dominating_sets(graph: Graph) -> list[tuple[int, ...]]:
     """Every minimum dominating set, in lexicographic order.
 
     Complete by construction: the search cuts only branches that cannot be
@@ -231,9 +220,5 @@ def enumerate_min_dominating_sets(
     """
     if graph.order == 0:
         raise ValueError("domination needs at least one vertex")
-    if graph.order > cap:
-        raise EnumerationCapExceeded(
-            f"order {graph.order} exceeds the enumeration cap {cap}"
-        )
     value = gamma_value(graph)
     return list(_covers_in_lex_order(graph.closed_rows(), graph.full_mask, value))

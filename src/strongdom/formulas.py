@@ -95,10 +95,6 @@ def starlike_canonical_dominating_set(spec: StarlikeSpec) -> tuple[int, ...]:
     return tuple(sorted(chosen))
 
 
-class MixedResidueError(ValueError):
-    """The starlike bondage formula only covers uniform branch residues."""
-
-
 def bondage_km_starlike(m: int, spec: StarlikeSpec) -> int:
     """Bondage number of the strong product of a complete graph with a
     starlike tree whose branch lengths all share one residue mod 3.
@@ -113,7 +109,7 @@ def bondage_km_starlike(m: int, spec: StarlikeSpec) -> int:
         )
     residues = {b % 3 for b in spec.branches}
     if len(residues) != 1:
-        raise MixedResidueError(
+        raise ValueError(
             f"branch residues {sorted(residues)} are not uniform; no formula applies"
         )
     r = residues.pop()

@@ -165,7 +165,7 @@ def formula_value(spec: InstanceSpec, quantity: str) -> int | None:
     return bondage_km_pn(m, n)
 
 
-def prescribed_bondage_set(spec: InstanceSpec, built: BuiltInstance) -> tuple[Edge, ...] | None:
+def prescribed_bondage_set(built: BuiltInstance) -> tuple[Edge, ...] | None:
     """The family's constructive bondage set certifying the upper bound.
 
     One recipe over the columns of K_m x T: ``cover(h)`` touches every vertex
@@ -316,7 +316,7 @@ def verify_instance(
                 raise ValueError(f"{spec.label()} has no edges; bondage is undefined")
             prescribed = None
             if not full_search and formula is not None:
-                prescribed = prescribed_bondage_set(spec, built)
+                prescribed = prescribed_bondage_set(built)
             if prescribed is not None:
                 method = "witness+refutation"
                 upper_ok = len(prescribed) == formula and is_bondage_set(

@@ -21,6 +21,7 @@ from strongdom.formulas import bondage_complete, bondage_km_pn, bondage_path
 from strongdom.graphs import (
     Graph,
     complete_graph,
+    iter_bits,
     path_graph,
     remove_edges,
     strong_product,
@@ -34,6 +35,7 @@ from reference_scan import (
     _twin_prefix_test,
     reference_find_bondage_set_up_to,
 )
+from ticking_clock import ticking_time
 
 
 @st.composite
@@ -212,14 +214,24 @@ def damaged_pools(draw):
 def test_member_masks_match_per_member_pool_test(pooled, data):
     g, members = pooled
     edges = g.edges()
+    # minimum dominating sets that hold an edge, which the scan's covers seldom
+    # do: the touch mask must omit that edge
+    masks = [sum(1 << v for v in d) for d in enumerate_min_dominating_sets(g)]
+    inner = [d for d in masks if any(d >> u & 1 and d >> v & 1 for u, v in edges)]
+    if inner:
+        members = members + data.draw(st.lists(st.sampled_from(inner), min_size=1, max_size=2))
     pool = _DominatingPool(g, edges)
     reference = ReferencePool(g, edges)
     for dmask in members:
         pool.add(dmask)
         reference.add(dmask)
-    combos = st.lists(st.sampled_from(range(len(edges))), min_size=1, max_size=5, unique=True)
-    for combo in data.draw(st.lists(combos, min_size=1, max_size=20)):
-        zedges = tuple(sorted(combo))
+    assert pool.touch == reference.touch
+    # every candidate touches every member, as each set the scan yields does,
+    # so no member survives untouched and the spare-dominator test decides
+    hits = st.tuples(*(st.sampled_from(list(iter_bits(t))) for t in reference.touch if t))
+    extra = st.lists(st.sampled_from(range(len(edges))), max_size=5)
+    for hit, more in data.draw(st.lists(st.tuples(hits, extra), min_size=1, max_size=20)):
+        zedges = tuple(sorted(set(hit) | set(more)))
         assert pool.some_member_survives(zedges) == reference.some_member_survives(zedges)
 
 
@@ -394,25 +406,11 @@ def test_deadline_fires_inside_a_long_refutation():
     assert time.monotonic() - start < 2
 
 
-class _TickingClock:
-    """Stands in for the ``time`` module: each ``monotonic()`` read advances
-    the clock by one tick, so a deadline fires after a fixed number of reads
-    on any machine."""
-
-    def __init__(self):
-        self.ticks = 0
-
-    def monotonic(self):
-        self.ticks += 1
-        return float(self.ticks)
-
-
 def test_deadline_fires_inside_the_scan_at_a_fixed_tick():
     # km-pn(4,10) reads the clock 133 times to refute sizes up to 5; read 101
     # is a scan-step check at size 5, between two solver entry checks
     prod, _ = strong_product(complete_graph(4), path_graph(10))
-    clock = _TickingClock()
-    with patch.object(bondage, "time", clock), patch.object(domination, "time", clock):
+    with ticking_time() as clock:
         with pytest.raises(TimeBudgetExceeded, match=r"after \d+ scan steps at size 5$"):
             find_bondage_set_up_to(prod, 5, deadline=100)
     assert clock.ticks == 101
@@ -427,7 +425,6 @@ def test_deadline_fires_inside_the_scan_at_a_fixed_tick():
     ],
 )
 def test_entry_check_names_the_search(search, name):
-    clock = _TickingClock()
-    with patch.object(bondage, "time", clock), patch.object(domination, "time", clock):
+    with ticking_time():
         with pytest.raises(TimeBudgetExceeded, match=f"on entry to the {name}$"):
             search()

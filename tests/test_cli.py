@@ -6,6 +6,11 @@ import pytest
 from strongdom.cli import main
 from strongdom.graphs import complete_graph, parse_graph_text
 
+from ticking_clock import ticking_time
+
+# the search that a budget skip in test_bondage_failure_is_one_line names
+SKIPPED_IN = {"bondage": "bondage scan", "gamma": "cover search"}
+
 
 def run(capsys, *args):
     code = main(list(args))
@@ -41,7 +46,8 @@ def test_budget_flag_accepts_fractions(capsys):
 
 
 @pytest.mark.parametrize(
-    "flags", [("--budget-seconds", "0"), ("--max-size", "-3"), ("--seed", "1")]
+    "flags",
+    [("--budget-seconds", "0"), ("--max-size", "-3"), ("--seed", "1"), ("--full-search",)],
 )
 def test_bad_search_flags_are_usage_errors(capsys, flags):
     with pytest.raises(SystemExit) as exc:
@@ -60,8 +66,8 @@ def test_gamma_rejects_search_flags(capsys, flags):
     "flags, prefix",
     [
         (
-            ("bondage", "--family", "km-pn", "--m", "5", "--n", "7")
-            + ("--budget-seconds", "0.05"),
+            ("bondage", "--family", "km-pn", "--m", "2", "--n", "3")
+            + ("--budget-seconds", "0.5"),
             "skipped: ",
         ),
         (("bondage", "--family", "path", "--n", "4", "--max-size", "1"), "error: "),
@@ -69,7 +75,7 @@ def test_gamma_rejects_search_flags(capsys, flags):
         (("gamma", "--family", "path", "--n", "0"), "error: "),
         (("product", "--family", "km-pn", "--m", "2"), "error: "),
         (("gamma", "--graph", str(Path(__file__).with_name("missing.graph"))), "error: "),
-        (("mds-check", "--m", "3", "--n", "9"), "error: "),
+        (("mds-check", "--m", "0", "--n", "3"), "error: "),
         # a flag the family does not take
         (
             ("gamma", "--family", "path", "--n", "4", "--m", "7", "--json"),
@@ -97,18 +103,23 @@ def test_gamma_rejects_search_flags(capsys, flags):
             for command in ("gamma", "bondage", "verify", "product")
         ),
         (
-            ("gamma", "--family", "km-pn", "--m", "3", "--n", "27")
-            + ("--budget-seconds", "0.05"),
+            ("gamma", "--family", "km-pn", "--m", "3", "--n", "7")
+            + ("--budget-seconds", "0.5"),
             "skipped: ",
         ),
     ],
 )
 def test_bondage_failure_is_one_line(capsys, flags, prefix):
-    code = main(list(flags))
+    # each clock read is one tick, so a budget of 0.5 is past by the first
+    # search's entry check
+    with ticking_time():
+        code = main(list(flags))
     captured = capsys.readouterr()
     assert code == 1
     assert captured.out == ""
     assert captured.err.startswith(prefix) and captured.err.count("\n") == 1
+    if prefix == "skipped: ":
+        assert captured.err == f"skipped: deadline hit on entry to the {SKIPPED_IN[flags[0]]}\n"
 
 
 @pytest.mark.parametrize("jobs", ["0", "-3"])
@@ -130,10 +141,14 @@ def test_verify_command(capsys):
 
 @pytest.mark.parametrize("command", ["verify", "sweep"])
 def test_skipped_entry_exits_1(capsys, command):
-    flags = (command, "--family", "km-pn", "--m", "5", "--n", "7", "--quantity", "bondage")
-    code, out = run(capsys, *flags, "--budget-seconds", "0.05", "--json")
+    # clock reads: the deadline, gamma, the witness check, then the scan
+    flags = (command, "--family", "km-pn", "--m", "2", "--n", "3", "--quantity", "bondage")
+    with ticking_time():
+        code, out = run(capsys, *flags, "--budget-seconds", "2.5", "--json")
     assert code == 1
-    assert json.loads(out)["summary"] == {"pass": 0, "fail": 0, "skipped": 1}
+    payload = json.loads(out)
+    assert payload["summary"] == {"pass": 0, "fail": 0, "skipped": 1}
+    assert payload["entries"][0]["note"] == "skipped: deadline hit on entry to the bondage scan"
 
 
 def test_verify_config_records_the_budget(capsys):

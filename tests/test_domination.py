@@ -5,7 +5,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from strongdom.domination import (
-    EnumerationCapExceeded,
     TimeBudgetExceeded,
     _cover_within,
     _covers_in_lex_order,
@@ -93,14 +92,6 @@ def test_enumerate_examples():
     assert enumerate_min_dominating_sets(prod) == middle
 
 
-def test_enumerate_cap_refusal():
-    prod, _ = strong_product(complete_graph(5), path_graph(6))
-    with pytest.raises(EnumerationCapExceeded):
-        enumerate_min_dominating_sets(prod)
-    # overridable per call
-    assert enumerate_min_dominating_sets(path_graph(5), cap=30)
-
-
 @given(graphs())
 @settings(max_examples=80)
 def test_solver_matches_brute_force(g):
@@ -162,10 +153,11 @@ def test_witness_matches_brute_force(g):
     assert domination_number(g).witness == brute_min_dominating_sets(g)[0]
 
 
-def test_enumeration_at_the_cap():
-    prod, _ = strong_product(complete_graph(3), path_graph(8))
-    assert prod.order == 24
-    assert enumerate_min_dominating_sets(prod) == brute_min_dominating_sets(prod)
+def test_enumeration_at_orders_24_and_27():
+    for n, order in ((8, 24), (9, 27)):
+        prod, _ = strong_product(complete_graph(3), path_graph(n))
+        assert prod.order == order
+        assert enumerate_min_dominating_sets(prod) == brute_min_dominating_sets(prod)
 
 
 def test_witness_search_at_order_180():

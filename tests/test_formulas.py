@@ -4,7 +4,6 @@ import pytest
 
 from strongdom.domination import is_dominating
 from strongdom.formulas import (
-    MixedResidueError,
     bondage_complete,
     bondage_km_pn,
     bondage_km_starlike,
@@ -113,7 +112,7 @@ def test_bondage_km_starlike_consistency_with_paths():
 
 
 def test_bondage_km_starlike_refusals():
-    with pytest.raises(MixedResidueError):
+    with pytest.raises(ValueError, match="not uniform"):
         bondage_km_starlike(2, StarlikeSpec((1, 2)))
     with pytest.raises(ValueError):
         bondage_km_starlike(2, StarlikeSpec((3,)))

@@ -7,7 +7,6 @@ import pytest
 
 from strongdom import harness
 from strongdom.bondage import is_bondage_set
-from strongdom.domination import EnumerationCapExceeded
 from strongdom.graphs import GraphTextError, parse_graph_file
 from strongdom.harness import (
     InstanceSpec,
@@ -25,6 +24,7 @@ from strongdom.harness import (
 )
 
 from brute import brute_bondage
+from ticking_clock import ticking_time
 
 
 def strip_timing(report_dict):
@@ -118,18 +118,25 @@ def test_verify_budget_skip():
 
 
 def test_verify_gamma_budget_skip():
-    # the gamma search alone runs for tens of seconds at this size
-    entry = verify_instance(InstanceSpec("km-pn", m=3, n=27), "gamma", budget_seconds=0.5)
+    # each clock read is one tick: the deadline is read 1 plus 0.5, so the
+    # gamma value's first cover search, at read 2, is past it
+    with ticking_time():
+        entry = verify_instance(InstanceSpec("km-pn", m=3, n=7), "gamma", budget_seconds=0.5)
     assert entry.skipped and entry.note.startswith("skipped: ")
+    assert entry.note == "skipped: deadline hit on entry to the cover search"
     assert not entry.match
-    assert entry.computed_value is None and entry.formula_value == 9
+    assert entry.computed_value is None and entry.formula_value == 3
     assert entry.elapsed_ms < 2000
 
 
 def test_verify_bondage_budget_reaches_the_witness_check():
-    # checking the prescribed bondage set alone runs for tens of seconds here
-    entry = verify_instance(InstanceSpec("km-pn", m=3, n=24), "bondage", budget_seconds=0.5)
+    # read 2 is gamma of the intact graph, read 3 the cover search on the
+    # graph without the prescribed set, past the deadline of read 1 plus 1.5
+    with ticking_time() as clock:
+        entry = verify_instance(InstanceSpec("km-pn", m=3, n=7), "bondage", budget_seconds=1.5)
     assert entry.skipped and entry.note.startswith("skipped: ")
+    assert entry.note == "skipped: deadline hit on entry to the cover search"
+    assert clock.ticks == 3
     assert entry.computed_value is None
     assert entry.elapsed_ms < 2000
 
@@ -156,7 +163,7 @@ def test_prescribed_bondage_sets_certify_every_family():
     for spec in specs:
         built = build_instance(spec)
         formula = formula_value(spec, "bondage")
-        prescribed = prescribed_bondage_set(spec, built)
+        prescribed = prescribed_bondage_set(built)
         starlike_k1 = spec.family == "km-starlike" and spec.m == 1
         assert (prescribed is None) == (formula is None or starlike_k1), spec
         if prescribed is None:
@@ -289,9 +296,11 @@ def test_check_mds_structure_specifics():
     assert entries["mds:end-pair"].match
 
 
-def test_check_mds_structure_cap():
-    with pytest.raises(EnumerationCapExceeded):
-        mds_structure_entries(5, 6)
+def test_check_mds_structure_at_order_30():
+    # one vertex in each of columns 2 and 5, five choices each
+    entries = mds_structure_entries(5, 6)
+    assert len(entries) == 4
+    assert all(e.match and e.note == "25 minimum dominating sets audited" for e in entries)
 
 
 def test_emit_report_empty():
