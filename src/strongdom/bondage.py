@@ -35,7 +35,10 @@ The pool grows lazily, as in the implicit hitting set loop of Chandrasekaran,
 Karp, Moreno-Centeno and Vempala (SODA 2011): it starts from one minimum
 dominating set, and each cover the solver finds for a refuted candidate joins
 it.  Removing edges only shrinks neighbourhoods, so a dominating set of G - B
-of size <= gamma(G) is a minimum dominating set of G as well.
+of size <= gamma(G) is a minimum dominating set of G as well.  Before it
+joins, each member is moved onto the last vertices of its twin classes in
+the graph it dominates; a leader touches a prefix of every class, so it
+reaches those vertices last.
 """
 
 from __future__ import annotations
@@ -146,6 +149,27 @@ class _DominatingPool:
         return False
 
 
+def _twin_classes(rows: Sequence[int]) -> Iterable[list[int]]:
+    """The closed-twin classes of the graph with closed rows ``rows``: the
+    vertices with equal rows, each class in index order, and the classes in
+    order of their least vertex."""
+    classes: dict[int, list[int]] = {}
+    for v, row in enumerate(rows):
+        classes.setdefault(row, []).append(v)
+    return classes.values()
+
+
+def _onto_last_twins(dmask: int, rows: Sequence[int]) -> int:
+    """``dmask`` with the vertices it holds in each twin class of ``rows``
+    moved onto that class's last vertices.  A swap of closed twins is an
+    automorphism, so the moved set dominates wherever ``dmask`` did."""
+    moved = 0
+    for members in _twin_classes(rows):
+        held = sum(dmask >> v & 1 for v in members)
+        moved |= sum(1 << v for v in members[len(members) - held :])
+    return moved
+
+
 _Tables = tuple[int, int, list[int], list[int], list[int]]
 
 
@@ -175,9 +199,6 @@ def _scan_tables(
     K_m x P_n, the path reflection); else ``g`` is the identity.
     """
     order = len(closed)
-    classes: dict[int, list[int]] = {}
-    for v, row in enumerate(closed):
-        classes.setdefault(row, []).append(v)
     width = f"0{order}b"
     mirrored = all(  # each closed row, bit-reversed, is the row of v's mirror
         int(format(closed[v], width)[::-1], 2) == closed[order - 1 - v]
@@ -187,7 +208,7 @@ def _scan_tables(
     opens = [0] * order
     links = [0] * order
     start = reach = 0
-    for members in classes.values():
+    for members in _twin_classes(closed):
         inc = [incident[v] for v in members] + [0, 0]
         lead = inc[0]
         start |= lead & reach | lead & inc[1]
@@ -326,10 +347,19 @@ def find_bondage_set_up_to(
     The scan skips in bulk the sets that miss some pool member, which still
     dominates after such a removal, so only the sets that touch every member
     are visited.  The pool only filters; the exact solver has the final
-    word on survivors.  ``deadline`` is a ``time.monotonic()`` instant
-    (None: unlimited), checked on entry, every 2,048 scan steps (prefixes
-    pushed and sets visited) and inside each gamma and solver call; passing
-    it raises ``TimeBudgetExceeded``.
+    word on survivors.  Each member sits on the last vertices of its twin
+    classes: the first on those of G, and a solver cover for a candidate B
+    on those of G - B.  Swapping closed twins of G - B is an automorphism of
+    G - B, so the moved cover still dominates G - B; of size gamma, it is a
+    minimum dominating set of G, it survives B as the solver's cover does,
+    and it is new, since B killed every older member.  A leader touches a
+    class's last vertex only after all of its twins, so members placed there
+    are killed late and the solver is asked less often.
+
+    ``deadline`` is a ``time.monotonic()`` instant (None: unlimited),
+    checked on entry, every 2,048 scan steps (prefixes pushed and sets
+    visited) and inside each gamma and solver call; passing it raises
+    ``TimeBudgetExceeded``.
     """
     _check_entry(deadline, "bondage scan")
     edges = graph.edges()
@@ -340,7 +370,7 @@ def find_bondage_set_up_to(
     gamma = gamma_value(graph, deadline=deadline)
     pool = _DominatingPool(graph, edges)
     tables = _scan_tables(closed, edges, pool.incident)
-    pool.add(_cover_within(closed, full, gamma, deadline))
+    pool.add(_onto_last_twins(_cover_within(closed, full, gamma, deadline), closed))
     survives = pool.some_member_survives
     scan = chain.from_iterable(
         _sets_touching_pool(pool, tables, k, deadline)
@@ -358,7 +388,7 @@ def find_bondage_set_up_to(
         cover = _cover_within(damaged, full, gamma, deadline)
         if cover is None:
             return tuple(edges[e] for e in combo)
-        pool.add(cover)
+        pool.add(_onto_last_twins(cover, damaged))
     return None
 
 

@@ -7,7 +7,10 @@ prefixes, then a test that it touches every pool member, then the pool test,
 then the exact solver.  The twin classes and the mirror map are worked out
 here from the closed rows and the adjacency.  The package skips the sets
 that fail any of the first three tests in bulk, so its pool tests, solver
-calls and witnesses must equal this loop's.  ``ReferencePool``
+calls and witnesses must equal this loop's.  Each cover moves onto the last
+vertices of its twin classes before it joins the pool, as the package's
+does; the classes are those of the graph the cover dominates, grouped here
+from ``remove_edges(graph, B).closed_rows()``.  ``ReferencePool``
 shares no code with the package's pool: it builds each member's touch mask
 edge by edge and runs the pool test as a domination check of every member on
 the damaged graph, so the package's incident-mask XOR, targets, counts and
@@ -102,6 +105,20 @@ def _mirror_prefix_test(graph, edges):
     return test
 
 
+def _on_last_twins(dmask, damaged):
+    """``dmask`` with as many vertices of each closed-twin class of the graph
+    ``damaged`` as it holds, taken from the end of the sorted class."""
+    classes = {}
+    for v, row in enumerate(damaged.closed_rows()):
+        classes.setdefault(row, []).append(v)
+    moved = 0
+    for cls in classes.values():
+        cls = sorted(cls)
+        held = len([v for v in cls if dmask >> v & 1])
+        moved |= sum(1 << v for v in cls[len(cls) - held :])
+    return moved
+
+
 def reference_find_bondage_set_up_to(graph, max_size):
     edges = graph.edges()
     if max_size <= 0 or not edges:
@@ -112,7 +129,7 @@ def reference_find_bondage_set_up_to(graph, max_size):
     twin_prefix = _twin_prefix_test(graph, edges)
     mirror = _mirror_prefix_test(graph, edges)
     pool = ReferencePool(graph, edges)
-    pool.add(_cover_within(closed, full, gamma))
+    pool.add(_on_last_twins(_cover_within(closed, full, gamma), graph))
     n_edges = len(edges)
     bit = [1 << e for e in range(n_edges)]
     touch = pool.touch
@@ -128,13 +145,9 @@ def reference_find_bondage_set_up_to(graph, max_size):
                 continue
             if survives(combo):
                 continue
-            damaged = closed.copy()
-            for e in combo:
-                u, v = edges[e]
-                damaged[u] &= ~(1 << v)
-                damaged[v] &= ~(1 << u)
-            cover = _cover_within(damaged, full, gamma)
+            damaged = remove_edges(graph, [edges[e] for e in combo])
+            cover = _cover_within(damaged.closed_rows(), full, gamma)
             if cover is None:
                 return tuple(edges[e] for e in combo)
-            pool.add(cover)
+            pool.add(_on_last_twins(cover, damaged))
     return None

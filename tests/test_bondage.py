@@ -191,8 +191,11 @@ def test_pool_filter_rejections_are_sound():
 @st.composite
 def damaged_pools(draw):
     """A graph and pool members gathered as the scan gathers them: covers of
-    size gamma of copies with a few edges removed.  Damage leaves vertices
-    with spare dominators in some members, so both pool tests run."""
+    size gamma of copies with a few edges removed, each moved onto the last
+    twins of the damaged copy's classes.  Damage leaves vertices with spare
+    dominators in some members, so both pool tests run.  One or two minimum
+    dominating sets that hold an edge, which the scan's covers seldom do,
+    join whenever the graph has any: the touch mask must omit that edge."""
     if draw(st.booleans()):
         g = draw(graphs_with_planted_twins())
     else:
@@ -200,12 +203,18 @@ def damaged_pools(draw):
         g = strong_product(complete_graph(m), path_graph(n))[0]
     edges = g.edges()
     gamma = gamma_value(g)
-    members = [_cover_within(g.closed_rows(), g.full_mask, gamma)]
+    closed = g.closed_rows()
+    members = [bondage._onto_last_twins(_cover_within(closed, g.full_mask, gamma), closed)]
     cuts = st.lists(st.sampled_from(edges), max_size=3, unique=True)
     for cut in draw(st.lists(cuts, max_size=8)):
-        cover = _cover_within(remove_edges(g, cut).closed_rows(), g.full_mask, gamma)
+        damaged = remove_edges(g, cut).closed_rows()
+        cover = _cover_within(damaged, g.full_mask, gamma)
         if cover is not None:
-            members.append(cover)
+            members.append(bondage._onto_last_twins(cover, damaged))
+    masks = [sum(1 << v for v in d) for d in enumerate_min_dominating_sets(g)]
+    inner = [d for d in masks if any(d >> u & 1 and d >> v & 1 for u, v in edges)]
+    if inner:
+        members += draw(st.lists(st.sampled_from(inner), min_size=1, max_size=2))
     return g, members
 
 
@@ -214,12 +223,6 @@ def damaged_pools(draw):
 def test_member_masks_match_per_member_pool_test(pooled, data):
     g, members = pooled
     edges = g.edges()
-    # minimum dominating sets that hold an edge, which the scan's covers seldom
-    # do: the touch mask must omit that edge
-    masks = [sum(1 << v for v in d) for d in enumerate_min_dominating_sets(g)]
-    inner = [d for d in masks if any(d >> u & 1 and d >> v & 1 for u, v in edges)]
-    if inner:
-        members = members + data.draw(st.lists(st.sampled_from(inner), min_size=1, max_size=2))
     pool = _DominatingPool(g, edges)
     reference = ReferencePool(g, edges)
     for dmask in members:
@@ -286,9 +289,23 @@ def test_km_pn_first_admissible_edges_are_one_per_column_pair():
 
 
 def test_frontier_refutation_of_k12():
-    # K_6 x P_2 is K_12, whose edges form one orbit: b = 6, refuted at 5
+    # K_6 x P_2 is K_12, whose edges form one orbit: b = 6, refuted at 5.  It
+    # is one twin class, so the first member moves to vertex 11, which no
+    # leader of at most 5 edges touches: the solver runs once, for that
+    # member, and no set is pool tested
     prod, _ = strong_product(complete_graph(6), path_graph(2))
-    assert find_bondage_set_up_to(prod, 5) is None
+    solver = []
+    cover_within = bondage._cover_within
+
+    def counted(*args):
+        solver.append(args)
+        return cover_within(*args)
+
+    with patch.object(bondage, "_cover_within", counted):
+        witness, log = _recorded_scan(find_bondage_set_up_to, prod, 5)
+    assert witness is None
+    assert len(solver) == 1
+    assert log == [1 << 11]
 
 
 def _brute_sets_touching(graph, touches, k):
@@ -388,6 +405,25 @@ def test_bulk_skip_matches_per_candidate_scan(g):
     assert _recorded_scan(find_bondage_set_up_to, g, size) == expected
 
 
+@given(graphs_with_planted_twins())
+@example(strong_product(complete_graph(3), path_graph(4))[0])  # b = 5
+@example(strong_product(complete_graph(2), path_graph(7))[0])  # b = 3
+@settings(max_examples=40, deadline=None)
+def test_each_member_is_a_minimum_dominating_set_of_its_damaged_graph(g):
+    # a member moved by twin classes the damage has split may stop dominating
+    edges = g.edges()
+    gamma = gamma_value(g)
+    _, log = _recorded_scan(find_bondage_set_up_to, g, len(edges))
+    candidate = ()  # the first member covers the intact graph
+    for entry in log:
+        if isinstance(entry, tuple):
+            candidate = entry[0]
+            continue
+        damaged = remove_edges(g, [edges[e] for e in candidate])
+        assert entry.bit_count() == gamma
+        assert domination.is_dominating(damaged, list(iter_bits(entry)))
+
+
 @pytest.mark.parametrize("m, n", [(3, 4), (2, 5), (4, 5)])
 def test_no_edge_set_is_pool_tested_twice(m, n):
     prod, _ = strong_product(complete_graph(m), path_graph(n))
@@ -398,22 +434,24 @@ def test_no_edge_set_is_pool_tested_twice(m, n):
 
 
 def test_deadline_fires_inside_a_long_refutation():
-    # km-pn(5,7) has b = 8; refuting sizes up to 7 runs for over ten seconds
+    # km-pn(5,7) has b = 8; refuting sizes up to 7 reads the clock 570 times,
+    # and reads 67 to 570 are scan-step checks at size 7
     prod, _ = strong_product(complete_graph(5), path_graph(7))
-    start = time.monotonic()
-    with pytest.raises(TimeBudgetExceeded):
-        find_bondage_set_up_to(prod, 7, deadline=start + 0.2)
-    assert time.monotonic() - start < 2
+    with ticking_time() as clock:
+        with pytest.raises(TimeBudgetExceeded, match=r"after \d+ scan steps at size 7$"):
+            find_bondage_set_up_to(prod, 7, deadline=80)
+    assert clock.ticks == 81
 
 
 def test_deadline_fires_inside_the_scan_at_a_fixed_tick():
-    # km-pn(4,10) reads the clock 133 times to refute sizes up to 5; read 101
-    # is a scan-step check at size 5, between two solver entry checks
+    # km-pn(4,10) reads the clock 21 times to refute sizes up to 5; read 10 is
+    # the last solver entry check, and reads 11 to 21 are scan-step checks at
+    # size 5
     prod, _ = strong_product(complete_graph(4), path_graph(10))
     with ticking_time() as clock:
         with pytest.raises(TimeBudgetExceeded, match=r"after \d+ scan steps at size 5$"):
-            find_bondage_set_up_to(prod, 5, deadline=100)
-    assert clock.ticks == 101
+            find_bondage_set_up_to(prod, 5, deadline=15)
+    assert clock.ticks == 16
 
 
 @pytest.mark.parametrize(
