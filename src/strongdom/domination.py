@@ -1,5 +1,4 @@
-"""Exact minimum domination and exhaustive enumeration of minimum dominating
-sets.
+"""Exact minimum domination.
 
 One bounded cover search, ``_cover_within``, answers every exact domination
 question: ``gamma_value`` runs it downward from the greedy cover size, and the
@@ -8,8 +7,7 @@ least-coverable uncovered vertex, read off width classes (vertex masks by
 closed-row popcount, narrowest first) built once per call, and tests each
 child inline, so a child that completes the cover, or a failed last pick,
 costs no call.  One pruned lexicographic search, ``_covers_in_lex_order``,
-yields the lexicographically least witness and the full list of minimum
-dominating sets.
+yields the lexicographically least witness.
 
 Both searches take an optional ``deadline`` (a ``time.monotonic()`` instant,
 None for unlimited), checked on entry and then every 1,024 branching nodes of
@@ -211,14 +209,3 @@ def domination_number(graph: Graph, *, deadline: float | None = None) -> GammaRe
         raise AssertionError("no witness found at the exact domination number")
     return GammaResult(value, witness)
 
-
-def enumerate_min_dominating_sets(graph: Graph) -> list[tuple[int, ...]]:
-    """Every minimum dominating set, in lexicographic order.
-
-    Complete by construction: the search cuts only branches that cannot be
-    completed to a dominating set of the exact size.
-    """
-    if graph.order == 0:
-        raise ValueError("domination needs at least one vertex")
-    value = gamma_value(graph)
-    return list(_covers_in_lex_order(graph.closed_rows(), graph.full_mask, value))

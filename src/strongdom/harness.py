@@ -25,16 +25,12 @@ import time
 from dataclasses import dataclass
 from functools import partial
 from itertools import combinations_with_replacement
-from typing import Iterable, Sequence
+from math import comb, prod
+from typing import Iterable, Iterator, Sequence
 
 from ._version import __version__
 from .bondage import bondage_number, find_bondage_set_up_to, is_bondage_set
-from .domination import (
-    TimeBudgetExceeded,
-    _deadline,
-    domination_number,
-    enumerate_min_dominating_sets,
-)
+from .domination import TimeBudgetExceeded, _deadline, domination_number
 from .formulas import (
     _ceil3,
     bondage_complete,
@@ -418,6 +414,35 @@ def starlike_branch_multisets(
     ]
 
 
+def _column_counts(m: int, n: int) -> list[list[int]]:
+    """Column-count vectors of the minimum dominating sets of K_m x P_n, in
+    lexicographic order.  A vertex is adjacent to its whole column and both
+    neighbouring ones, so a set dominates iff every column has an occupied
+    column within distance 1; each vector stands for prod C(m, c_j) sets.
+    Depth-first search over the columns, 0 <= c_j <= m, at sizes 1, 2, ...:
+    the first size with a vector is gamma.  A prefix is cut once a column
+    has no occupied column within distance 1, or when 3 * left is less than
+    the columns still to be dominated.
+    """
+
+    def rec(counts: list[int], left: int, reach: int) -> Iterator[list[int]]:
+        # reach: the first column that no occupied column dominates yet
+        j = len(counts)
+        if j == n:
+            if not left and reach == n:
+                yield counts
+            return
+        for c in range(min(m, left) + 1):
+            after = min(j + 2, n) if c else reach
+            if after >= j and 3 * (left - c) >= n - after:
+                yield from rec(counts + [c], left - c, after)
+
+    for size in range(1, n + 1):  # one vertex in every column dominates
+        if vectors := list(rec([], size, 0)):
+            return vectors
+    raise AssertionError(f"no dominating column counts for m={m}, n={n}")
+
+
 def mds_structure_entries(m: int, n: int) -> list[ReportEntry]:
     """Audit every minimum dominating set of the product of a complete graph
     with a path against the per-column structure each one must have.
@@ -426,55 +451,44 @@ def mds_structure_entries(m: int, n: int) -> list[ReportEntry]:
     column; exactly one vertex over each end pendant pair; the prefix
     (suffix) of the first i (last n-j+1) columns holds at least the
     domination number of the one-shorter prefix (suffix); and the columns
-    forced empty by the residue of n are empty.
+    forced empty by the residue of n are empty.  The checks read only the
+    column counts, so they run once per vector of ``_column_counts``; a
+    violation record holds the vector, its number of sets and a detail.
     """
     spec = InstanceSpec("km-pn", m=m, n=n)
-    graph, _ = strong_product(complete_graph(m), path_graph(n))
     start = time.monotonic()
-    sets = enumerate_min_dominating_sets(graph)
-    res = n % 3
-    if res == 0:
-        forbidden_cols = [i for i in range(1, n + 1) if i % 3 in (0, 1)]
-    elif res == 2:
-        forbidden_cols = [i for i in range(1, n + 1) if i % 3 == 0]
-    else:
-        forbidden_cols = []
+    vectors = _column_counts(m, n)
+    empty = {0: (0, 1), 1: (), 2: (0,)}[n % 3]  # residues of the columns forced empty
+    forbidden_cols = [i for i in range(1, n + 1) if i % 3 in empty]
 
     col_mult: list[dict] = []
     end_pair: list[dict] = []
     prefix_suffix: list[dict] = []
     forbidden: list[dict] = []
-    for d in sets:
-        counts = [0] * n
-        for v in d:
-            counts[v % n] += 1
+    weights = [prod(comb(m, c) for c in counts) for counts in vectors]
+    for counts, sets in zip(vectors, weights):
+        base = {"columns": counts, "sets": sets}
         if any(c > 1 for c in counts):
-            col_mult.append({"mds": list(d), "detail": f"column counts {counts}"})
+            col_mult.append({**base, "detail": f"column counts {counts}"})
         if n >= 2:
             first = counts[0] + counts[1]
             last = counts[n - 2] + counts[n - 1]
             if first != 1 or last != 1:
-                end_pair.append(
-                    {"mds": list(d), "detail": f"end pair counts {first} and {last}"}
-                )
+                end_pair.append({**base, "detail": f"end pair counts {first} and {last}"})
         acc = [0] * (n + 1)
         for i in range(n):
             acc[i + 1] = acc[i] + counts[i]
         for i in range(2, n + 1):  # columns 1..i hold at least the value for 1..i-1
             if acc[i] < _ceil3(i - 1):
-                prefix_suffix.append(
-                    {"mds": list(d), "detail": f"prefix 1..{i} below {_ceil3(i - 1)}"}
-                )
+                prefix_suffix.append({**base, "detail": f"prefix 1..{i} below {_ceil3(i - 1)}"})
         for j in range(1, n):  # columns j..n hold at least the value for j+1..n
             if acc[n] - acc[j - 1] < _ceil3(n - j):
-                prefix_suffix.append(
-                    {"mds": list(d), "detail": f"suffix {j}..{n} below {_ceil3(n - j)}"}
-                )
+                prefix_suffix.append({**base, "detail": f"suffix {j}..{n} below {_ceil3(n - j)}"})
         for i in forbidden_cols:
             if counts[i - 1]:
-                forbidden.append({"mds": list(d), "detail": f"column {i} not empty"})
+                forbidden.append({**base, "detail": f"column {i} not empty"})
     elapsed = (time.monotonic() - start) * 1000.0
-    audited = f"{len(sets)} minimum dominating sets audited"
+    audited = f"{sum(weights)} minimum dominating sets audited"
     checks = [
         ("mds:column-multiplicity", col_mult, audited),
         ("mds:end-pair", end_pair, audited),
@@ -490,7 +504,7 @@ def mds_structure_entries(m: int, n: int) -> list[ReportEntry]:
             instance=spec,
             quantity=name,
             formula_value=0,
-            computed_value=len(violations),
+            computed_value=sum(v["sets"] for v in violations),
             method="mds-enumeration",
             match=not violations,
             skipped=False,

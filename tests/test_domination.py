@@ -9,7 +9,6 @@ from strongdom.domination import (
     _cover_within,
     _covers_in_lex_order,
     domination_number,
-    enumerate_min_dominating_sets,
     gamma_value,
     is_dominating,
 )
@@ -34,6 +33,7 @@ import random
 
 from reference_cover import reference_cover_within
 from test_bondage import graphs_with_planted_twins
+from ticking_clock import ticking_time
 
 
 @st.composite
@@ -84,12 +84,17 @@ def test_empty_graph_rejected():
         gamma_value(Graph(0, ()))
 
 
+def min_dominating_sets(g):
+    """Every minimum dominating set, from the witness search run to the end."""
+    return list(_covers_in_lex_order(g.closed_rows(), g.full_mask, gamma_value(g)))
+
+
 def test_enumerate_examples():
-    assert enumerate_min_dominating_sets(path_graph(3)) == [(1,)]
-    assert enumerate_min_dominating_sets(complete_graph(3)) == [(0,), (1,), (2,)]
+    assert min_dominating_sets(path_graph(3)) == [(1,)]
+    assert min_dominating_sets(complete_graph(3)) == [(0,), (1,), (2,)]
     prod, idx = strong_product(complete_graph(2), path_graph(3))
     middle = sorted((idx.flat(g, 1),) for g in range(2))
-    assert enumerate_min_dominating_sets(prod) == middle
+    assert min_dominating_sets(prod) == middle
 
 
 @given(graphs())
@@ -142,7 +147,7 @@ def test_cover_search_matches_reference_on_damaged_products(g):
 @given(graphs(max_order=7))
 @settings(max_examples=40)
 def test_enumeration_matches_brute_force(g):
-    got = enumerate_min_dominating_sets(g)
+    got = min_dominating_sets(g)
     assert got == brute_min_dominating_sets(g)
     assert domination_number(g).witness == got[0]
 
@@ -157,7 +162,7 @@ def test_enumeration_at_orders_24_and_27():
     for n, order in ((8, 24), (9, 27)):
         prod, _ = strong_product(complete_graph(3), path_graph(n))
         assert prod.order == order
-        assert enumerate_min_dominating_sets(prod) == brute_min_dominating_sets(prod)
+        assert min_dominating_sets(prod) == brute_min_dominating_sets(prod)
 
 
 def test_witness_search_at_order_180():
@@ -190,9 +195,14 @@ def test_passed_deadline_stops_the_cover_search_on_entry():
 
 
 def test_deadline_stops_the_cover_search_inside():
-    # refuting a cover of size 8 on K_3 x P_27 runs for seconds
-    prod, _ = strong_product(complete_graph(3), path_graph(27))
-    start = time.monotonic()
-    with pytest.raises(TimeBudgetExceeded, match="cover-search nodes"):
-        _cover_within(prod.closed_rows(), prod.full_mask, 8, start + 0.2)
-    assert time.monotonic() - start < 1
+    # refuting a cover of size 9 on the 6 x 6 grid (gamma 10) reads the clock
+    # 28 times: once on entry, then every 1,024 branching nodes
+    grid = Graph.from_edges(
+        36,
+        [(v, v + 1) for v in range(36) if v % 6 < 5] + [(v, v + 6) for v in range(30)],
+    )
+    message = "^deadline hit after 10240 cover-search nodes$"
+    with ticking_time() as clock:
+        with pytest.raises(TimeBudgetExceeded, match=message):
+            _cover_within(grid.closed_rows(), grid.full_mask, 9, 10)
+    assert clock.ticks == 11

@@ -1,16 +1,27 @@
 import copy
 import importlib.util
 import json
+from collections import Counter
+from math import comb, prod
 from pathlib import Path
+from unittest.mock import patch
 
 import pytest
 
 from strongdom import harness
 from strongdom.bondage import is_bondage_set
-from strongdom.graphs import GraphTextError, parse_graph_file
+from strongdom.domination import _covers_in_lex_order, gamma_value
+from strongdom.graphs import (
+    GraphTextError,
+    complete_graph,
+    parse_graph_file,
+    path_graph,
+    strong_product,
+)
 from strongdom.harness import (
     InstanceSpec,
     ReportEntry,
+    _column_counts,
     build_instance,
     build_report,
     emit_report,
@@ -301,6 +312,42 @@ def test_check_mds_structure_at_order_30():
     entries = mds_structure_entries(5, 6)
     assert len(entries) == 4
     assert all(e.match and e.note == "25 minimum dominating sets audited" for e in entries)
+
+
+def test_column_counts_group_the_minimum_dominating_sets():
+    # every minimum dominating set the witness search yields on the built
+    # product, grouped by its column counts: the groups are the count model's
+    # vectors, each as large as its vector's weight, and they hold the audit's N
+    for m in range(1, 5):
+        for n in range(1, 11):
+            graph, _ = strong_product(complete_graph(m), path_graph(n))
+            groups = Counter()
+            for d in _covers_in_lex_order(graph.closed_rows(), graph.full_mask, gamma_value(graph)):
+                counts = [0] * n
+                for v in d:
+                    counts[v % n] += 1
+                groups[tuple(counts)] += 1
+            vectors = [tuple(counts) for counts in _column_counts(m, n)]
+            assert vectors == sorted(groups), (m, n)
+            assert {v: prod(comb(m, c) for c in v) for v in vectors} == groups, (m, n)
+            audited = f"{sum(groups.values())} minimum dominating sets audited"
+            assert all(e.note.startswith(audited) for e in mds_structure_entries(m, n)), (m, n)
+
+
+def test_mds_violation_records_carry_the_vector_weight():
+    # no real instance has a violation; a non-minimum vector stands in for one
+    with patch.object(harness, "_column_counts", lambda m, n: [[1, 1, 0]]):
+        entries = {e.quantity: e for e in mds_structure_entries(2, 3)}
+    assert all(e.note.startswith("4 minimum dominating sets audited") for e in entries.values())
+    for name, detail in (
+        ("mds:end-pair", "end pair counts 2 and 1"),
+        ("mds:forbidden-columns", "column 1 not empty"),
+    ):
+        assert not entries[name].match
+        assert entries[name].computed_value == 4
+        assert entries[name].witness == [{"columns": [1, 1, 0], "sets": 4, "detail": detail}]
+    for name in ("mds:column-multiplicity", "mds:prefix-suffix-bound"):
+        assert entries[name].match and entries[name].computed_value == 0
 
 
 def test_emit_report_empty():
