@@ -322,10 +322,10 @@ def _sets_touching_pool(
 
 
 def find_bondage_set_up_to(
-    graph: Graph, max_size: int, *, deadline: float | None = None
+    graph: Graph, k: int, *, deadline: float | None = None
 ) -> tuple[Edge, ...] | None:
-    """Smallest (then lexicographically least) bondage set of size <= max_size,
-    or None once every size up to max_size has been refuted.
+    """Smallest (then lexicographically least) bondage set of size <= k, or
+    None once every size up to k has been refuted.
 
     The sizes are scanned in turn, each in lexicographic order of edge
     indices, over the leaders (``_sets_touching_pool``): the sets every
@@ -363,7 +363,7 @@ def find_bondage_set_up_to(
     """
     _check_entry(deadline, "bondage scan")
     edges = graph.edges()
-    if max_size <= 0 or not edges:
+    if k <= 0 or not edges:
         return None
     closed = graph.closed_rows()
     full = graph.full_mask
@@ -373,8 +373,8 @@ def find_bondage_set_up_to(
     pool.add(_onto_last_twins(_cover_within(closed, full, gamma, deadline), closed))
     survives = pool.some_member_survives
     scan = chain.from_iterable(
-        _sets_touching_pool(pool, tables, k, deadline)
-        for k in range(1, min(max_size, len(edges)) + 1)
+        _sets_touching_pool(pool, tables, size, deadline)
+        for size in range(1, min(k, len(edges)) + 1)
     )
     for combo in scan:
         if survives(combo):
@@ -392,25 +392,20 @@ def find_bondage_set_up_to(
     return None
 
 
-def bondage_number(
-    graph: Graph,
-    *,
-    max_size: int | None = None,
-    deadline: float | None = None,
-) -> BondageResult:
+def bondage_number(graph: Graph, *, deadline: float | None = None) -> BondageResult:
     """Exact bondage number with a minimum witness.
 
     Iterative deepening over subset sizes in one lexicographic scan of the
     sorted edge list (``find_bondage_set_up_to``), so the witness is the
-    lexicographically least minimum bondage set.  ``deadline`` is as in
+    lexicographically least minimum bondage set.  The scan may run up to
+    every edge, and removing every edge raises gamma to the order, so a
+    graph with an edge always has one.  ``deadline`` is as in
     ``find_bondage_set_up_to``.
     """
     edges = graph.edges()
     if not edges:
         raise ValueError("an edgeless graph has no bondage set")
-    limit = len(edges) if max_size is None else min(max_size, len(edges))
-    witness = find_bondage_set_up_to(graph, limit, deadline=deadline)
+    witness = find_bondage_set_up_to(graph, len(edges), deadline=deadline)
     if witness is None:
-        raise ValueError(f"no bondage set of size <= {limit} exists")
+        raise AssertionError("no bondage set among all edge sets")
     return BondageResult(len(witness), witness)
-

@@ -82,7 +82,6 @@ def _add_instance_flags(parser: argparse.ArgumentParser, ranged: bool) -> None:
 
 
 def _add_search_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--max-size", type=_positive_int, help="bondage search size cap")
     parser.add_argument(
         "--budget-seconds", type=_positive_seconds, help="per-instance wall budget"
     )
@@ -155,9 +154,7 @@ def _cmd_gamma(args) -> int:
 def _cmd_bondage(args) -> int:
     spec = _single_instance(args)
     built = build_instance(spec)
-    result = bondage_number(
-        built.graph, max_size=args.max_size, deadline=_deadline(args.budget_seconds)
-    )
+    result = bondage_number(built.graph, deadline=_deadline(args.budget_seconds))
     if args.json:
         print(
             json.dumps(
@@ -186,7 +183,6 @@ def _cmd_sweep(args) -> int:
         jobs=args.jobs,
         full_search=args.full_search,
         budget_seconds=args.budget_seconds,
-        max_size=args.max_size,
     )
     return _emit(report, args.json)
 
@@ -225,8 +221,7 @@ def main(argv: list[str] | None = None) -> int:
 
     p = sub.add_parser("gamma", help="exact domination number of one instance")
     _add_instance_flags(p, ranged=False)
-    p.add_argument("--budget-seconds", type=_positive_seconds, help="wall budget")
-    p.add_argument("--json", action="store_true", help="emit JSON")
+    _add_search_flags(p)
     p.set_defaults(func=_cmd_gamma)
 
     p = sub.add_parser("bondage", help="exact bondage number of one instance")

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from functools import partial
 from itertools import combinations_with_replacement
 from math import comb, prod
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 from ._version import __version__
 from .bondage import bondage_number, find_bondage_set_up_to, is_bondage_set
@@ -282,7 +282,6 @@ def verify_instance(
     *,
     full_search: bool = False,
     budget_seconds: float | None = None,
-    max_size: int | None = None,
 ) -> ReportEntry:
     """One verified quantity on one instance, always as a report entry.
 
@@ -327,7 +326,7 @@ def verify_instance(
                 else:
                     note = "constructive witness failed to raise gamma"
             if computed is None:
-                res = bondage_number(graph, max_size=max_size, deadline=deadline)
+                res = bondage_number(graph, deadline=deadline)
                 computed, witness = res.value, res.witness
         match = not note and (formula is None or computed == formula)
     except TimeBudgetExceeded as exc:
@@ -355,7 +354,6 @@ def sweep(
     jobs: int = 1,
     full_search: bool = False,
     budget_seconds: float | None = None,
-    max_size: int | None = None,
 ) -> Report:
     """Verify every instance in the range; one entry per (instance, quantity).
 
@@ -374,12 +372,7 @@ def sweep(
     else:
         raise ValueError(f"unknown quantity {quantity!r}")
     tasks = [(spec, q) for spec in specs for q in quantities]
-    verify = partial(
-        verify_instance,
-        full_search=full_search,
-        budget_seconds=budget_seconds,
-        max_size=max_size,
-    )
+    verify = partial(verify_instance, full_search=full_search, budget_seconds=budget_seconds)
     start = time.monotonic()
     if jobs == 1:
         entries = [verify(spec, q) for spec, q in tasks]
@@ -389,12 +382,7 @@ def sweep(
         with multiprocessing.Pool(processes=jobs) as pool:
             entries = pool.starmap(verify, tasks)
     total_ms = (time.monotonic() - start) * 1000.0
-    config = {
-        "quantity": quantity,
-        "full_search": full_search,
-        "budget_seconds": budget_seconds,
-        "max_size": max_size,
-    }
+    config = {"quantity": quantity, "full_search": full_search, "budget_seconds": budget_seconds}
     return build_report(entries, config, total_ms)
 
 
@@ -422,23 +410,35 @@ def _column_counts(m: int, n: int) -> list[list[int]]:
     Depth-first search over the columns, 0 <= c_j <= m, at sizes 1, 2, ...:
     the first size with a vector is gamma.  A prefix is cut once a column
     has no occupied column within distance 1, or when 3 * left is less than
-    the columns still to be dominated.
+    the columns still to be dominated.  The search keeps an explicit stack
+    over one shared prefix, so its depth is not bounded by the recursion
+    limit.
     """
-
-    def rec(counts: list[int], left: int, reach: int) -> Iterator[list[int]]:
-        # reach: the first column that no occupied column dominates yet
-        j = len(counts)
-        if j == n:
-            if not left and reach == n:
-                yield counts
-            return
-        for c in range(min(m, left) + 1):
-            after = min(j + 2, n) if c else reach
-            if after >= j and 3 * (left - c) >= n - after:
-                yield from rec(counts + [c], left - c, after)
-
     for size in range(1, n + 1):  # one vertex in every column dominates
-        if vectors := list(rec([], size, 0)):
+        vectors: list[list[int]] = []
+        counts: list[int] = []  # the prefix; column j = len(counts) is next
+        # per open column: the next count to try, the vertices left and the
+        # reach, the first column that no occupied column dominates yet
+        stack = [[0, size, 0]]
+        while stack:
+            top = stack[-1]
+            c, left, reach = top
+            j = len(counts)
+            if c > min(m, left):
+                stack.pop()
+                if counts:
+                    counts.pop()
+                continue
+            top[0] = c + 1
+            after = min(j + 2, n) if c else reach
+            if after < j or 3 * (left - c) < n - after:
+                continue
+            if j + 1 < n:
+                counts.append(c)
+                stack.append([0, left - c, after])
+            elif left == c and after == n:
+                vectors.append(counts + [c])
+        if vectors:
             return vectors
     raise AssertionError(f"no dominating column counts for m={m}, n={n}")
 

@@ -129,11 +129,6 @@ def test_bondage_of_edgeless_graph_rejected():
         bondage_number(path_graph(1))
 
 
-def test_bondage_max_size_exhausted():
-    with pytest.raises(ValueError):
-        bondage_number(path_graph(4), max_size=1)
-
-
 def test_exhaustive_no_bondage_examples():
     prod25, _ = strong_product(complete_graph(2), path_graph(5))
     assert find_bondage_set_up_to(prod25, 0) is None

@@ -3,6 +3,7 @@ from pathlib import Path
 
 import pytest
 
+from strongdom import harness
 from strongdom.cli import main
 from strongdom.graphs import complete_graph, parse_graph_text
 
@@ -47,15 +48,26 @@ def test_budget_flag_accepts_fractions(capsys):
 
 @pytest.mark.parametrize(
     "flags",
-    [("--budget-seconds", "0"), ("--max-size", "-3"), ("--seed", "1"), ("--full-search",)],
+    [
+        ("bondage", "--budget-seconds", "0"),
+        ("bondage", "--max-size", "1"),
+        ("bondage", "--seed", "1"),
+        ("bondage", "--full-search"),
+        # no search takes a size cap: the wall budget is its only bound
+        ("verify", "--max-size", "1"),
+        ("sweep", "--max-size", "1"),
+    ],
 )
 def test_bad_search_flags_are_usage_errors(capsys, flags):
+    command, *rest = flags
     with pytest.raises(SystemExit) as exc:
-        main(["bondage", "--family", "path", "--n", "4", *flags])
+        main([command, "--family", "path", "--n", "4", *rest])
     assert exc.value.code == 2
 
 
-@pytest.mark.parametrize("flags", [("--max-size", "1"), ("--full-search",)])
+@pytest.mark.parametrize(
+    "flags", [("--max-size", "1"), ("--full-search",), ("--quantity", "gamma"), ("--jobs", "2")]
+)
 def test_gamma_rejects_search_flags(capsys, flags):
     with pytest.raises(SystemExit) as exc:
         main(["gamma", "--family", "path", "--n", "4", *flags])
@@ -70,7 +82,7 @@ def test_gamma_rejects_search_flags(capsys, flags):
             + ("--budget-seconds", "0.5"),
             "skipped: ",
         ),
-        (("bondage", "--family", "path", "--n", "4", "--max-size", "1"), "error: "),
+        (("bondage", "--family", "path", "--n", "1"), "error: "),
         (("gamma", "--family", "km-pn", "--m", "3"), "error: "),
         (("gamma", "--family", "path", "--n", "0"), "error: "),
         (("product", "--family", "km-pn", "--m", "2"), "error: "),
@@ -165,7 +177,7 @@ def test_verify_config_records_the_budget(capsys):
     )
     assert code == 0
     config = json.loads(out)["config"]
-    assert config["budget_seconds"] == 30.0 and config["max_size"] is None
+    assert config == {"quantity": "both", "full_search": False, "budget_seconds": 30.0}
 
 
 def test_verify_starlike(capsys):
@@ -248,9 +260,10 @@ def test_missing_family_is_an_error(capsys):
         main(["gamma", "--m", "3"])
 
 
-def test_verify_mismatch_exit_code(tmp_path, capsys):
-    # a file graph has no formula, so a skipped/failing path needs a real mismatch:
-    # force full search with a cap that cannot find the answer
+def test_verify_mismatch_exit_code(monkeypatch, capsys):
+    # every formula holds, so a failing entry needs a formula that is wrong:
+    # the full search finds b(P_4) = 2 against a formula value of 3
+    monkeypatch.setattr(harness, "formula_value", lambda spec, quantity: 3)
     code, out = run(
         capsys,
         "verify",
@@ -260,11 +273,10 @@ def test_verify_mismatch_exit_code(tmp_path, capsys):
         "4",
         "--quantity",
         "bondage",
-        "--max-size",
-        "1",
         "--full-search",
         "--json",
     )
     assert code == 1
     payload = json.loads(out)
     assert payload["summary"]["fail"] == 1
+    assert payload["entries"][0]["computed_value"] == 2

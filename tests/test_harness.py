@@ -213,10 +213,12 @@ def test_verify_failed_refutation(monkeypatch):
     assert entry.note == "refutation failed: a smaller bondage set exists"
 
 
-def test_error_entry_keeps_formula_and_time():
-    entry = verify_instance(
-        InstanceSpec("km-pn", m=2, n=4), "bondage", full_search=True, max_size=1
-    )
+def test_error_entry_keeps_formula_and_time(monkeypatch):
+    def crash(graph, deadline=None):
+        raise RuntimeError("search crashed")
+
+    monkeypatch.setattr(harness, "bondage_number", crash)
+    entry = verify_instance(InstanceSpec("km-pn", m=2, n=4), "bondage", full_search=True)
     assert entry.method == "error" and not entry.match
     assert entry.formula_value == 3
     assert entry.elapsed_ms > 0
@@ -332,6 +334,13 @@ def test_column_counts_group_the_minimum_dominating_sets():
             assert {v: prod(comb(m, c) for c in v) for v in vectors} == groups, (m, n)
             audited = f"{sum(groups.values())} minimum dominating sets audited"
             assert all(e.note.startswith(audited) for e in mds_structure_entries(m, n)), (m, n)
+
+
+def test_mds_check_runs_past_the_recursion_limit():
+    # 1,200 columns, one search level each: deeper than Python's default
+    # recursion limit of 1,000
+    entries = mds_structure_entries(2, 1200)
+    assert len(entries) == 4 and all(e.match for e in entries)
 
 
 def test_mds_violation_records_carry_the_vector_weight():
