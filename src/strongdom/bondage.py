@@ -21,24 +21,28 @@ can break its domination; as a bit mask over edges, a member's touch mask is
 the XOR of its vertices' incident-edge masks.  So the scan visits only the
 sets that touch every member: the sets that miss one are skipped in bulk,
 as the last edges of each prefix are narrowed, as one bit mask, to the
-edges that touch every member the prefix misses.  A visited set gets the
+edges that touch every member the prefix misses, and a prefix one edge
+short is pushed only when that mask is not empty.  A visited set gets the
 spare-dominator count on each member in turn, skipping the members that one
 of its edges alone undominates (a single-edge kill, kept per edge as a mask
-over members).  Survivors are confirmed with the exact solver, which keeps
-the search exhaustive and exact regardless of pool quality.  The scan is a
-depth-first search that grows each candidate edge by edge, popping each
-next edge, the last one included, from a bit mask of the edges that keep
-the prefix touching a prefix of every twin class, and extends a prefix only
-while it is a leader itself.
+over members).  A set that kills every member is tried with a one-vertex
+repair: a member with one vertex swapped that dominates G - B shows that B
+is no bondage set.  Only when no swap works is the exact solver asked,
+which keeps the search exhaustive and exact regardless of pool quality.
+The scan is a depth-first search that grows each candidate edge by edge,
+popping each next edge, the last one included, from a bit mask of the
+edges that keep the prefix touching a prefix of every twin class, and
+extends a prefix only while it is a leader itself.
 
 The pool grows lazily, as in the implicit hitting set loop of Chandrasekaran,
 Karp, Moreno-Centeno and Vempala (SODA 2011): it starts from one minimum
-dominating set, and each cover the solver finds for a refuted candidate joins
-it.  Removing edges only shrinks neighbourhoods, so a dominating set of G - B
-of size <= gamma(G) is a minimum dominating set of G as well.  Before it
-joins, each member is moved onto the last vertices of its twin classes in
-the graph it dominates; a leader touches a prefix of every class, so it
-reaches those vertices last.
+dominating set, and each cover a repair or the solver finds for a refuted
+candidate joins it; the repair is the cheap certificate tried ahead of the
+exact oracle.  Removing edges only shrinks neighbourhoods, so a dominating
+set of G - B of size <= gamma(G) is a minimum dominating set of G as well.
+Before it joins, each member is moved onto the last vertices of its twin
+classes in the graph it dominates; a leader touches a prefix of every
+class, so it reaches those vertices last.
 """
 
 from __future__ import annotations
@@ -84,10 +88,13 @@ class _DominatingPool:
     ``counts[i][w]`` of them for every ``w``.  Per edge, as masks over
     member indices, ``by_edge[e]`` holds the members whose touch mask holds
     ``e``, and ``kill[e]`` those for which ``e`` removes the only dominator
-    of its target (``counts[i][w] <= 1``).
+    of its target (``counts[i][w] <= 1``).  ``members[i]`` is member ``i``'s
+    vertex mask, from which ``repair`` swaps one vertex.
     """
 
-    __slots__ = ("graph", "edges", "incident", "touch", "targets", "counts", "by_edge", "kill")
+    __slots__ = (
+        "graph", "edges", "incident", "members", "touch", "targets", "counts", "by_edge", "kill"
+    )
 
     def __init__(self, graph: Graph, edges: Sequence[Edge]):
         self.graph = graph
@@ -96,6 +103,7 @@ class _DominatingPool:
         for e, (u, v) in enumerate(edges):
             self.incident[u] |= 1 << e
             self.incident[v] |= 1 << e
+        self.members: list[int] = []
         self.touch: list[int] = []
         self.targets: list[dict[int, int]] = []
         self.counts: list[list[int]] = []
@@ -115,6 +123,7 @@ class _DominatingPool:
             self.by_edge[e] |= member
             if counts[w] <= 1:
                 self.kill[e] |= member
+        self.members.append(dmask)
         self.touch.append(touch)
         self.targets.append(targets)
         self.counts.append(counts)
@@ -147,6 +156,41 @@ class _DominatingPool:
             else:
                 return True
         return False
+
+    def repair(self, damaged: Sequence[int], full: int) -> int | None:
+        """The first ``member - x + z`` that dominates the graph with closed
+        rows ``damaged`` (members in index order, then ``x``, then ``z``
+        increasing), or None.  It has gamma vertices, so for a candidate B
+        it shows that B is no bondage set, as a solver's cover does.
+
+        ``z`` must dominate what the member leaves undominated and what
+        only ``x`` dominates; rows are symmetric, so the ``z`` that do are
+        the AND of those vertices' rows, and a member whose undominated
+        vertices share no row is passed over at once."""
+        for member in self.members:
+            rows = [damaged[v] for v in iter_bits(member)]
+            once = twice = 0  # the vertices the member dominates at least once, twice
+            for row in rows:
+                twice |= once & row
+                once |= row
+            base = -1  # the z that dominate what the member leaves undominated
+            lost = full & ~once
+            while lost and base:
+                low = lost & -lost
+                lost ^= low
+                base &= damaged[low.bit_length() - 1]
+            if not base:
+                continue
+            for x, row in zip(iter_bits(member), rows):
+                z = base
+                alone = row & ~twice  # the vertices only x dominates
+                while alone and z:
+                    low = alone & -alone
+                    alone ^= low
+                    z &= damaged[low.bit_length() - 1]
+                if z:
+                    return member ^ (1 << x) | z & -z
+        return None
 
 
 def _twin_classes(rows: Sequence[int]) -> Iterable[list[int]]:
@@ -245,16 +289,21 @@ def _sets_touching_pool(
     have the same size, so an edge is skipped iff the grown prefix's image
     is smaller: iff the lowest edge of the grown ``diff`` is in the grown
     ``fm``.  An equal image is never skipped.  A (k-1)-edge prefix pops its
-    last edges by the same loop, from its admissible edges after it ANDed
-    with the touch mask of every member the prefix misses, since a set that
-    misses a member leaves it dominating, and yields each edge that passes
-    the mirror test instead of pushing it.  ``pooled`` counts the members
-    that have narrowed the mask; every push resets it to 0, and at level
-    k-1 the members added since narrow the mask before the next pop.  The
-    pool grows only when the caller adds a solver's cover, so after a yield
-    that grew it the mask is narrowed by the new members the prefix misses.
-    Prefixes pushed and sets visited both count as steps, and the deadline
-    is checked at the first push after every 2,048 steps.
+    last edges by the same loop, from its admissible edges ANDed with the
+    touch mask of every member the prefix misses, since a set that misses a
+    member leaves it dominating, and yields each edge that passes the mirror
+    test instead of pushing it.  That mask is built before the push: a
+    (k-2)-edge prefix keeps ``unhit``, the members it misses, so the grown
+    prefix misses ``unhit`` less the members its new edge touches, and the
+    AND of those members' touch masks is memoised by the member mask for
+    the whole call (a member's touch mask never changes once added).  A
+    prefix whose mask is empty has no last edge and is not pushed.
+    ``pooled`` counts the members that have narrowed the mask, all of them
+    at the push.  The pool grows only when the caller adds a cover, at a
+    yield, so then ``unhit`` is recomputed and the mask is narrowed by the
+    new members the prefix misses.  Edges that pass the mirror test count
+    as steps, pushed or not, and the deadline is checked at the first push
+    attempt after every 2,048 steps.
     """
     start, reach, opens, links, images = tables
     edges = pool.edges
@@ -270,14 +319,25 @@ def _sets_touching_pool(
     todo = start & room[0]
     j = 0  # edges in the prefix
     pooled = 0  # the members that have narrowed todo at level k - 1
+    needs: dict[int, int] = {}  # a mask of members -> the AND of their touch masks
+
+    def missed_by(part: list[int]) -> int:
+        missed = (1 << len(touch)) - 1
+        for p in part:
+            missed &= ~by_edge[p]
+        return missed
+
+    unhit = missed_by(prefix)  # the members that the (k-2)-edge prefix misses
     steps = 0
     check_at = 2048
     while True:
         if j == k - 1 and pooled != len(touch):
-            missing = (1 << len(touch)) - (1 << pooled)
+            # the pool grew (or k = 1): narrow todo by the new members missed
+            unhit = missed_by(prefix[: k - 2])
+            missing = unhit >> pooled << pooled
+            if j:
+                missing &= ~by_edge[prefix[-1]]
             pooled = len(touch)
-            for p in prefix:
-                missing &= ~by_edge[p]
             while missing and todo:
                 low = missing & -missing
                 missing ^= low
@@ -298,21 +358,37 @@ def _sets_touching_pool(
                 if time.monotonic() > deadline:
                     raise TimeBudgetExceeded(f"deadline hit after {steps} scan steps at size {k}")
                 check_at = steps + 2048
-            levels.append((todo, allowed, reach, vmask, diff, fm))
             u, v = edges[e]
+            grown_allowed, grown_reach = allowed, reach
             if not vmask >> u & 1:
-                allowed |= opens[u] & reach | links[u]
-                reach |= opens[u]
+                grown_allowed |= opens[u] & grown_reach | links[u]
+                grown_reach |= opens[u]
             if not vmask >> v & 1:
-                allowed |= opens[v] & reach | links[v]
-                reach |= opens[v]
+                grown_allowed |= opens[v] & grown_reach | links[v]
+                grown_reach |= opens[v]
+            grown = grown_allowed >> e + 1 << e + 1 & room[j + 1]
+            if j == k - 2:
+                missed = unhit & ~by_edge[e]
+                need = needs.get(missed)
+                if need is None:
+                    need = -1
+                    for i in iter_bits(missed):
+                        need &= touch[i]
+                    needs[missed] = need
+                grown &= need
+                if not grown:  # no last edge touches every member missed
+                    continue
+            levels.append((todo, allowed, reach, vmask, diff, fm))
+            allowed, reach = grown_allowed, grown_reach
             vmask |= 1 << u | 1 << v
             diff = d
             fm |= image
             prefix.append(e)
             j += 1
-            todo = allowed >> e + 1 << e + 1 & room[j]
-            pooled = 0  # a new prefix, whose todo no member has narrowed
+            todo = grown
+            pooled = len(touch)
+            if j == k - 2:
+                unhit = missed_by(prefix)
             continue
         if not j:
             return
@@ -346,20 +422,24 @@ def find_bondage_set_up_to(
 
     The scan skips in bulk the sets that miss some pool member, which still
     dominates after such a removal, so only the sets that touch every member
-    are visited.  The pool only filters; the exact solver has the final
-    word on survivors.  Each member sits on the last vertices of its twin
-    classes: the first on those of G, and a solver cover for a candidate B
-    on those of G - B.  Swapping closed twins of G - B is an automorphism of
+    are visited.  The pool only filters.  A set B that kills every member
+    first gets ``_DominatingPool.repair``: a member with one vertex swapped
+    that dominates G - B has gamma vertices, so B is no bondage set.  When
+    no swap works, the exact solver has the final word, so a bondage set is
+    always confirmed by the solver and the scan stays exhaustive.  Each
+    member sits on the last vertices of its twin classes: the first on
+    those of G, and a repaired member or solver cover for a candidate B on
+    those of G - B.  Swapping closed twins of G - B is an automorphism of
     G - B, so the moved cover still dominates G - B; of size gamma, it is a
-    minimum dominating set of G, it survives B as the solver's cover does,
+    minimum dominating set of G, it survives B as the unmoved cover does,
     and it is new, since B killed every older member.  A leader touches a
     class's last vertex only after all of its twins, so members placed there
     are killed late and the solver is asked less often.
 
     ``deadline`` is a ``time.monotonic()`` instant (None: unlimited),
-    checked on entry, every 2,048 scan steps (prefixes pushed and sets
-    visited) and inside each gamma and solver call; passing it raises
-    ``TimeBudgetExceeded``.
+    checked on entry, every 2,048 scan steps (the edges that pass the
+    mirror test, pushed or not, and the sets visited) and inside each gamma
+    and solver call; passing it raises ``TimeBudgetExceeded``.
     """
     _check_entry(deadline, "bondage scan")
     edges = graph.edges()
@@ -379,15 +459,16 @@ def find_bondage_set_up_to(
     for combo in scan:
         if survives(combo):
             continue
-        # no pooled set survives; ask the exact solver
         damaged = closed.copy()
         for e in combo:
             u, v = edges[e]
             damaged[u] &= ~(1 << v)
             damaged[v] &= ~(1 << u)
-        cover = _cover_within(damaged, full, gamma, deadline)
-        if cover is None:
-            return tuple(edges[e] for e in combo)
+        cover = pool.repair(damaged, full)
+        if cover is None:  # no one-vertex swap of a member works; ask the exact solver
+            cover = _cover_within(damaged, full, gamma, deadline)
+            if cover is None:
+                return tuple(edges[e] for e in combo)
         pool.add(_onto_last_twins(cover, damaged))
     return None
 

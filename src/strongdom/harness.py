@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from functools import partial
 from itertools import combinations_with_replacement
 from math import comb, prod
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from ._version import __version__
 from .bondage import bondage_number, find_bondage_set_up_to, is_bondage_set
@@ -402,20 +402,21 @@ def starlike_branch_multisets(
     ]
 
 
-def _column_counts(m: int, n: int) -> list[list[int]]:
-    """Column-count vectors of the minimum dominating sets of K_m x P_n, in
-    lexicographic order.  A vertex is adjacent to its whole column and both
-    neighbouring ones, so a set dominates iff every column has an occupied
-    column within distance 1; each vector stands for prod C(m, c_j) sets.
-    Depth-first search over the columns, 0 <= c_j <= m, at sizes 1, 2, ...:
-    the first size with a vector is gamma.  A prefix is cut once a column
+def _column_counts(m: int, n: int) -> Iterator[list[int]]:
+    """Yield the column-count vectors of the minimum dominating sets of
+    K_m x P_n, in lexicographic order, one at a time.  A vertex is adjacent
+    to its whole column and both neighbouring ones, so a set dominates iff
+    every column has an occupied column within distance 1; each vector
+    stands for prod C(m, c_j) sets.  Depth-first search over the columns,
+    0 <= c_j <= m, at sizes 1, 2, ...: the first size with a vector is
+    gamma, and the search stops after it.  A prefix is cut once a column
     has no occupied column within distance 1, or when 3 * left is less than
     the columns still to be dominated.  The search keeps an explicit stack
     over one shared prefix, so its depth is not bounded by the recursion
     limit.
     """
     for size in range(1, n + 1):  # one vertex in every column dominates
-        vectors: list[list[int]] = []
+        found = False
         counts: list[int] = []  # the prefix; column j = len(counts) is next
         # per open column: the next count to try, the vertices left and the
         # reach, the first column that no occupied column dominates yet
@@ -437,9 +438,10 @@ def _column_counts(m: int, n: int) -> list[list[int]]:
                 counts.append(c)
                 stack.append([0, left - c, after])
             elif left == c and after == n:
-                vectors.append(counts + [c])
-        if vectors:
-            return vectors
+                found = True
+                yield counts + [c]
+        if found:
+            return
     raise AssertionError(f"no dominating column counts for m={m}, n={n}")
 
 
@@ -452,12 +454,13 @@ def mds_structure_entries(m: int, n: int) -> list[ReportEntry]:
     (suffix) of the first i (last n-j+1) columns holds at least the
     domination number of the one-shorter prefix (suffix); and the columns
     forced empty by the residue of n are empty.  The checks read only the
-    column counts, so they run once per vector of ``_column_counts``; a
-    violation record holds the vector, its number of sets and a detail.
+    column counts, so they run once per vector of ``_column_counts``, as
+    each is found, and no vector is kept past its audit except in a
+    violation record, which holds the vector, its number of sets and a
+    detail.
     """
     spec = InstanceSpec("km-pn", m=m, n=n)
     start = time.monotonic()
-    vectors = _column_counts(m, n)
     empty = {0: (0, 1), 1: (), 2: (0,)}[n % 3]  # residues of the columns forced empty
     forbidden_cols = [i for i in range(1, n + 1) if i % 3 in empty]
 
@@ -465,8 +468,10 @@ def mds_structure_entries(m: int, n: int) -> list[ReportEntry]:
     end_pair: list[dict] = []
     prefix_suffix: list[dict] = []
     forbidden: list[dict] = []
-    weights = [prod(comb(m, c) for c in counts) for counts in vectors]
-    for counts, sets in zip(vectors, weights):
+    total = 0
+    for counts in _column_counts(m, n):  # each vector is audited as it is found
+        sets = prod(comb(m, c) for c in counts)
+        total += sets
         base = {"columns": counts, "sets": sets}
         if any(c > 1 for c in counts):
             col_mult.append({**base, "detail": f"column counts {counts}"})
@@ -488,7 +493,7 @@ def mds_structure_entries(m: int, n: int) -> list[ReportEntry]:
             if counts[i - 1]:
                 forbidden.append({**base, "detail": f"column {i} not empty"})
     elapsed = (time.monotonic() - start) * 1000.0
-    audited = f"{sum(weights)} minimum dominating sets audited"
+    audited = f"{total} minimum dominating sets audited"
     checks = [
         ("mds:column-multiplicity", col_mult, audited),
         ("mds:end-pair", end_pair, audited),

@@ -4,17 +4,20 @@ The same scan as the package's, written as one loop turn per candidate edge
 set: every k-set of edge indices is built in full, in ``combinations`` order,
 and put through the twin-prefix test and the mirror test on each of its
 prefixes, then a test that it touches every pool member, then the pool test,
-then the exact solver.  The twin classes and the mirror map are worked out
-here from the closed rows and the adjacency.  The package skips the sets
-that fail any of the first three tests in bulk, so its pool tests, solver
-calls and witnesses must equal this loop's.  Each cover moves onto the last
+then a one-vertex repair of a pool member, then the exact solver.  The twin
+classes and the mirror map are worked out here from the closed rows and the
+adjacency.  The package skips the sets that fail any of the first three
+tests in bulk, so its pool tests, solver calls and witnesses must equal
+this loop's.  Each cover moves onto the last
 vertices of its twin classes before it joins the pool, as the package's
 does; the classes are those of the graph the cover dominates, grouped here
 from ``remove_edges(graph, B).closed_rows()``.  ``ReferencePool``
 shares no code with the package's pool: it builds each member's touch mask
 edge by edge and runs the pool test as a domination check of every member on
 the damaged graph, so the package's incident-mask XOR, targets, counts and
-per-edge member masks are all checked against it.
+per-edge member masks are all checked against it.  Its ``repair`` tries
+every swap of one member vertex for any vertex of the graph, in the
+package's order, with a domination check on the damaged graph.
 """
 
 from __future__ import annotations
@@ -52,6 +55,21 @@ class ReferencePool:
             is_dominating(damaged, [v for v in range(damaged.order) if dmask >> v & 1])
             for dmask in self.members
         )
+
+    def repair(self, zedges):
+        """The first member with one vertex x swapped for a vertex z that
+        dominates the damaged graph, trying members in order, then x, then z
+        in increasing order; None if no swap works."""
+        damaged = remove_edges(self.graph, [self.edges[e] for e in zedges])
+        for dmask in self.members:
+            for x in range(damaged.order):
+                if not dmask >> x & 1:
+                    continue
+                for z in range(damaged.order):
+                    swapped = dmask & ~(1 << x) | 1 << z
+                    if is_dominating(damaged, [v for v in range(damaged.order) if swapped >> v & 1]):
+                        return swapped
+        return None
 
 
 def _twin_prefix_test(graph, edges):
@@ -146,8 +164,10 @@ def reference_find_bondage_set_up_to(graph, max_size):
             if survives(combo):
                 continue
             damaged = remove_edges(graph, [edges[e] for e in combo])
-            cover = _cover_within(damaged.closed_rows(), full, gamma)
+            cover = pool.repair(combo)
             if cover is None:
-                return tuple(edges[e] for e in combo)
+                cover = _cover_within(damaged.closed_rows(), full, gamma)
+                if cover is None:
+                    return tuple(edges[e] for e in combo)
             pool.add(_on_last_twins(cover, damaged))
     return None

@@ -27,7 +27,7 @@ from strongdom.graphs import (
     strong_product,
 )
 
-from brute import brute_bondage, brute_first_bondage_witness
+from brute import brute_bondage, brute_first_bondage_witness, brute_gamma
 import reference_scan
 from reference_scan import (
     ReferencePool,
@@ -235,6 +235,70 @@ def test_member_masks_match_per_member_pool_test(pooled, data):
         assert pool.some_member_survives(zedges) == reference.some_member_survives(zedges)
 
 
+@given(damaged_pools(), st.data())
+@settings(max_examples=60, deadline=None)
+def test_repair_is_a_minimum_dominating_set_of_the_damaged_graph(pooled, data):
+    # candidates touch every member, as the sets the scan yields do; on small
+    # graphs the least bondage set joins them, which no swap may repair
+    g, members = pooled
+    edges = g.edges()
+    assume(edges)
+    gamma = gamma_value(g)
+    pool = _DominatingPool(g, edges)
+    for dmask in members:
+        pool.add(dmask)
+    hits = st.tuples(*(st.sampled_from(list(iter_bits(t))) for t in pool.touch if t))
+    extra = st.lists(st.sampled_from(range(len(edges))), max_size=5)
+    candidates = [
+        tuple(set(hit) | set(more))
+        for hit, more in data.draw(st.lists(st.tuples(hits, extra), min_size=1, max_size=10))
+    ]
+    if g.order <= 6:
+        candidates.append(tuple(edges.index(edge) for edge in brute_first_bondage_witness(g)))
+    for zedges in candidates:
+        damaged = remove_edges(g, [edges[e] for e in zedges])
+        repaired = pool.repair(damaged.closed_rows(), g.full_mask)
+        if brute_gamma(damaged) > gamma:
+            assert repaired is None
+        elif repaired is not None:
+            assert repaired.bit_count() == gamma
+            assert domination.is_dominating(damaged, list(iter_bits(repaired)))
+
+
+def test_solver_confirms_the_witness_that_no_repair_refutes():
+    # km-pn(3,4), searched in full: b = 5; the witness kills every member and
+    # no swap repairs it, so the last solver call is on it and finds no cover
+    prod, _ = strong_product(complete_graph(3), path_graph(4))
+    calls = []
+    cover_within = bondage._cover_within
+
+    def counted(*args):
+        cover = cover_within(*args)
+        calls.append((list(args[0]), cover))
+        return cover
+
+    with patch.object(bondage, "_cover_within", counted):
+        result = bondage_number(prod)
+    assert result.value == bondage_km_pn(3, 4)
+    assert calls[-1] == (remove_edges(prod, result.witness).closed_rows(), None)
+
+
+def test_repairs_answer_the_refutation_of_km_pn_3_10():
+    # b = 5; every candidate up to size 4 that kills the pool is refuted by a
+    # one-vertex swap, so the solver runs once, for the first member
+    prod, _ = strong_product(complete_graph(3), path_graph(10))
+    solver = []
+    cover_within = bondage._cover_within
+
+    def counted(*args):
+        solver.append(args)
+        return cover_within(*args)
+
+    with patch.object(bondage, "_cover_within", counted):
+        assert find_bondage_set_up_to(prod, 4) is None
+    assert len(solver) == 1
+
+
 def test_bondage_search_at_order_26():
     prod, _ = strong_product(complete_graph(2), path_graph(13))
     assert prod.order == 26
@@ -431,8 +495,8 @@ def test_no_edge_set_is_pool_tested_twice(m, n):
 
 
 def test_deadline_fires_inside_a_long_refutation():
-    # km-pn(5,7) has b = 8; refuting sizes up to 7 reads the clock 570 times,
-    # and reads 67 to 570 are scan-step checks at size 7
+    # km-pn(5,7) has b = 8; refuting sizes up to 7 reads the clock 559 times,
+    # and reads 57 to 559 are scan-step checks at size 7
     prod, _ = strong_product(complete_graph(5), path_graph(7))
     with ticking_time() as clock:
         with pytest.raises(TimeBudgetExceeded, match=r"after \d+ scan steps at size 7$"):
@@ -441,14 +505,14 @@ def test_deadline_fires_inside_a_long_refutation():
 
 
 def test_deadline_fires_inside_the_scan_at_a_fixed_tick():
-    # km-pn(4,10) reads the clock 21 times to refute sizes up to 5; read 10 is
-    # the last solver entry check, and reads 11 to 21 are scan-step checks at
-    # size 5
+    # km-pn(4,10) reads the clock 15 times to refute sizes up to 5; read 4 is
+    # the last entry check (the scan's, gamma's, the first member's cover and
+    # one solver call), and reads 5 to 15 are scan-step checks at size 5
     prod, _ = strong_product(complete_graph(4), path_graph(10))
     with ticking_time() as clock:
         with pytest.raises(TimeBudgetExceeded, match=r"after \d+ scan steps at size 5$"):
-            find_bondage_set_up_to(prod, 5, deadline=15)
-    assert clock.ticks == 16
+            find_bondage_set_up_to(prod, 5, deadline=10)
+    assert clock.ticks == 11
 
 
 @pytest.mark.parametrize(
