@@ -22,13 +22,13 @@ the XOR of its vertices' incident-edge masks.  So the scan visits only the
 sets that touch every member: the sets that miss one are skipped in bulk,
 as the last edges of each prefix are narrowed, as one bit mask, to the
 edges that touch every member the prefix misses, and a prefix one edge
-short is pushed only when that mask is not empty.  A visited set gets the
-spare-dominator count on each member in turn, skipping the members that one
-of its edges alone undominates (a single-edge kill, kept per edge as a mask
-over members).  A set that kills every member is tried with a one-vertex
-repair: a member with one vertex swapped that dominates G - B shows that B
-is no bondage set.  Only when no swap works is the exact solver asked,
-which keeps the search exhaustive and exact regardless of pool quality.
+short is pushed only when that mask is not empty.  For a visited set B the
+closed rows of G - B are built, and each member in turn is checked for
+domination on them: the OR of its vertices' rows must hold every vertex.
+A set that kills every member is tried with a one-vertex repair: a member
+with one vertex swapped that dominates G - B shows that B is no bondage
+set.  Only when no swap works is the exact solver asked, which keeps the
+search exhaustive and exact regardless of pool quality.
 The scan is a depth-first search that grows each candidate edge by edge,
 popping each next edge, the last one included, from a bit mask of the
 edges that keep the prefix touching a prefix of every twin class, and
@@ -75,85 +75,49 @@ def is_bondage_set(
 
 
 class _DominatingPool:
-    """Minimum dominating sets of the intact graph, indexed for fast damage tests.
+    """Minimum dominating sets of the intact graph, indexed for the scan.
 
+    ``members[i]`` is the tuple of member ``i``'s vertices.
     ``incident[v]`` is the mask (over edge indices) of the edges at ``v``.
     ``touch[i]`` is the mask of edges with exactly one endpoint in member
     ``i``: the XOR of its vertices' incident masks, in which an edge with
     both endpoints in the member cancels.  Only those removals can break its
     domination, so the scan yields only sets that meet every member's mask.
-    ``add`` walks just these edges: each joins the member to ``w =
-    targets[i][e]``, which has ``counts[i][w]`` dominators in the member;
-    the member survives any candidate that removes fewer than
-    ``counts[i][w]`` of them for every ``w``.  Per edge, as masks over
-    member indices, ``by_edge[e]`` holds the members whose touch mask holds
-    ``e``, and ``kill[e]`` those for which ``e`` removes the only dominator
-    of its target (``counts[i][w] <= 1``).  ``members[i]`` is member ``i``'s
-    vertex mask, from which ``repair`` swaps one vertex.
+    ``by_edge[e]``, a mask over member indices, holds the members whose
+    touch mask holds ``e``.
     """
 
-    __slots__ = (
-        "graph", "edges", "incident", "members", "touch", "targets", "counts", "by_edge", "kill"
-    )
+    __slots__ = ("edges", "incident", "members", "touch", "by_edge")
 
     def __init__(self, graph: Graph, edges: Sequence[Edge]):
-        self.graph = graph
         self.edges = edges
         self.incident = [0] * graph.order
         for e, (u, v) in enumerate(edges):
             self.incident[u] |= 1 << e
             self.incident[v] |= 1 << e
-        self.members: list[int] = []
+        self.members: list[tuple[int, ...]] = []
         self.touch: list[int] = []
-        self.targets: list[dict[int, int]] = []
-        self.counts: list[list[int]] = []
         self.by_edge = [0] * len(edges)
-        self.kill = [0] * len(edges)
 
     def add(self, dmask: int) -> None:
-        counts = [(row & dmask).bit_count() for row in self.graph.rows]
-        member = 1 << len(self.touch)
+        member = tuple(iter_bits(dmask))
+        bit = 1 << len(self.touch)
         touch = 0
-        for v in iter_bits(dmask):
+        for v in member:
             touch ^= self.incident[v]
-        targets: dict[int, int] = {}
         for e in iter_bits(touch):
-            u, v = self.edges[e]
-            w = targets[e] = u if dmask >> v & 1 else v
-            self.by_edge[e] |= member
-            if counts[w] <= 1:
-                self.kill[e] |= member
-        self.members.append(dmask)
+            self.by_edge[e] |= bit
+        self.members.append(member)
         self.touch.append(touch)
-        self.targets.append(targets)
-        self.counts.append(counts)
 
-    def some_member_survives(self, zedges: tuple[int, ...]) -> bool:
-        """True iff some member still dominates once the candidate's edges go.
-
-        The spare-dominator test runs, in index order, on the members that no
-        single edge ``kill``s; it is exact for any candidate, and a member the
-        candidate does not touch passes it at once."""
-        kill = self.kill
-        alive = (1 << len(self.touch)) - 1
-        for e in zedges:
-            alive &= ~kill[e]
-        while alive:
-            low = alive & -alive
-            alive ^= low
-            i = low.bit_length() - 1
-            targets = self.targets[i]
-            counts = self.counts[i]
-            dec: dict[int, int] = {}
-            for e in zedges:
-                w = targets.get(e)
-                if w is None:
-                    continue
-                d = dec.get(w, 0) + 1
-                if d >= counts[w]:
-                    break
-                dec[w] = d
-            else:
+    def some_member_survives(self, damaged: Sequence[int], full: int) -> bool:
+        """True iff some member dominates the graph with closed rows
+        ``damaged``: the OR of its vertices' rows is ``full``."""
+        for member in self.members:
+            covered = 0
+            for v in member:
+                covered |= damaged[v]
+            if covered == full:
                 return True
         return False
 
@@ -168,7 +132,7 @@ class _DominatingPool:
         the AND of those vertices' rows, and a member whose undominated
         vertices share no row is passed over at once."""
         for member in self.members:
-            rows = [damaged[v] for v in iter_bits(member)]
+            rows = [damaged[v] for v in member]
             once = twice = 0  # the vertices the member dominates at least once, twice
             for row in rows:
                 twice |= once & row
@@ -181,7 +145,7 @@ class _DominatingPool:
                 base &= damaged[low.bit_length() - 1]
             if not base:
                 continue
-            for x, row in zip(iter_bits(member), rows):
+            for x, row in zip(member, rows):
                 z = base
                 alone = row & ~twice  # the vertices only x dominates
                 while alone and z:
@@ -189,7 +153,7 @@ class _DominatingPool:
                     alone ^= low
                     z &= damaged[low.bit_length() - 1]
                 if z:
-                    return member ^ (1 << x) | z & -z
+                    return sum(1 << v for v in member) ^ (1 << x) | z & -z
         return None
 
 
@@ -422,19 +386,21 @@ def find_bondage_set_up_to(
 
     The scan skips in bulk the sets that miss some pool member, which still
     dominates after such a removal, so only the sets that touch every member
-    are visited.  The pool only filters.  A set B that kills every member
-    first gets ``_DominatingPool.repair``: a member with one vertex swapped
-    that dominates G - B has gamma vertices, so B is no bondage set.  When
-    no swap works, the exact solver has the final word, so a bondage set is
-    always confirmed by the solver and the scan stays exhaustive.  Each
-    member sits on the last vertices of its twin classes: the first on
-    those of G, and a repaired member or solver cover for a candidate B on
-    those of G - B.  Swapping closed twins of G - B is an automorphism of
-    G - B, so the moved cover still dominates G - B; of size gamma, it is a
-    minimum dominating set of G, it survives B as the unmoved cover does,
-    and it is new, since B killed every older member.  A leader touches a
-    class's last vertex only after all of its twins, so members placed there
-    are killed late and the solver is asked less often.
+    are visited.  Each visited set B gets the closed rows of G - B, on which
+    ``_DominatingPool.some_member_survives`` checks each member for
+    domination.  The pool only filters.  A set B that kills every member
+    first gets ``_DominatingPool.repair`` on the same rows: a member with
+    one vertex swapped that dominates G - B has gamma vertices, so B is no
+    bondage set.  When no swap works, the exact solver has the final word,
+    so a bondage set is always confirmed by the solver and the scan stays
+    exhaustive.  Each member sits on the last vertices of its twin classes:
+    the first on those of G, and a repaired member or solver cover for a
+    candidate B on those of G - B.  Swapping closed twins of G - B is an
+    automorphism of G - B, so the moved cover still dominates G - B; of size
+    gamma, it is a minimum dominating set of G, it survives B as the unmoved
+    cover does, and it is new, since B killed every older member.  A leader
+    touches a class's last vertex only after all of its twins, so members
+    placed there are killed late and the solver is asked less often.
 
     ``deadline`` is a ``time.monotonic()`` instant (None: unlimited),
     checked on entry, every 2,048 scan steps (the edges that pass the
@@ -457,13 +423,13 @@ def find_bondage_set_up_to(
         for size in range(1, min(k, len(edges)) + 1)
     )
     for combo in scan:
-        if survives(combo):
-            continue
         damaged = closed.copy()
         for e in combo:
             u, v = edges[e]
             damaged[u] &= ~(1 << v)
             damaged[v] &= ~(1 << u)
+        if survives(damaged, full):
+            continue
         cover = pool.repair(damaged, full)
         if cover is None:  # no one-vertex swap of a member works; ask the exact solver
             cover = _cover_within(damaged, full, gamma, deadline)

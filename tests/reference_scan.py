@@ -14,8 +14,9 @@ does; the classes are those of the graph the cover dominates, grouped here
 from ``remove_edges(graph, B).closed_rows()``.  ``ReferencePool``
 shares no code with the package's pool: it builds each member's touch mask
 edge by edge and runs the pool test as a domination check of every member on
-the damaged graph, so the package's incident-mask XOR, targets, counts and
-per-edge member masks are all checked against it.  Its ``repair`` tries
+the damaged graph that ``remove_edges`` builds, so the package's incident-mask
+XOR, per-edge member masks and damaged closed rows are all checked against
+it.  Its ``repair`` tries
 every swap of one member vertex for any vertex of the graph, in the
 package's order, with a domination check on the damaged graph.
 """

@@ -1,4 +1,3 @@
-import random
 import time
 from itertools import combinations
 from unittest.mock import patch
@@ -171,16 +170,14 @@ def test_pool_filter_rejections_are_sound():
     pool = _DominatingPool(prod, edges)
     for dset in _covers_in_lex_order(prod.closed_rows(), prod.full_mask, gamma):
         pool.add(sum(1 << v for v in dset))
-    rng = random.Random(3)
-    rejected = []
-    for k in (1, 2):
+    rejected = 0
+    for k in (1, 2):  # 27 + 351 edge sets
         for combo in combinations(range(len(edges)), k):
-            if pool.some_member_survives(combo):
-                rejected.append(combo)
-    sample = rng.sample(rejected, max(1, len(rejected) // 100))
-    for combo in sample:
-        damaged = remove_edges(prod, [edges[e] for e in combo])
-        assert gamma_value(damaged) == gamma
+            damaged = remove_edges(prod, [edges[e] for e in combo])
+            if pool.some_member_survives(damaged.closed_rows(), prod.full_mask):
+                rejected += 1
+                assert gamma_value(damaged) == gamma, combo
+    assert rejected
 
 
 @st.composite
@@ -188,7 +185,8 @@ def damaged_pools(draw):
     """A graph and pool members gathered as the scan gathers them: covers of
     size gamma of copies with a few edges removed, each moved onto the last
     twins of the damaged copy's classes.  Damage leaves vertices with spare
-    dominators in some members, so both pool tests run.  One or two minimum
+    dominators in some members, so some candidates leave a member
+    dominating and some kill every member.  One or two minimum
     dominating sets that hold an edge, which the scan's covers seldom do,
     join whenever the graph has any: the touch mask must omit that edge.
     Few small graphs have such sets, and among K_m x P_n with n <= 6 only
@@ -227,12 +225,14 @@ def test_member_masks_match_per_member_pool_test(pooled, data):
         reference.add(dmask)
     assert pool.touch == reference.touch
     # every candidate touches every member, as each set the scan yields does,
-    # so no member survives untouched and the spare-dominator test decides
+    # so no member survives untouched and the damaged rows decide
     hits = st.tuples(*(st.sampled_from(list(iter_bits(t))) for t in reference.touch if t))
     extra = st.lists(st.sampled_from(range(len(edges))), max_size=5)
     for hit, more in data.draw(st.lists(st.tuples(hits, extra), min_size=1, max_size=20)):
         zedges = tuple(sorted(set(hit) | set(more)))
-        assert pool.some_member_survives(zedges) == reference.some_member_survives(zedges)
+        damaged = remove_edges(g, [edges[e] for e in zedges]).closed_rows()
+        survives = pool.some_member_survives(damaged, g.full_mask)
+        assert survives == reference.some_member_survives(zedges)
 
 
 @given(damaged_pools(), st.data())
@@ -430,26 +430,33 @@ def test_scan_meets_every_member_of_a_damaged_pool(pooled):
 
 
 def _recorded_scan(search, graph, size):
-    """The search's answer, and its pool tests (candidate edges, result,
-    pool size) and pool additions in order.
-    Both the package's pool and the reference's per-member pool record."""
+    """The search's answer, and its pool tests (the candidate's damaged
+    closed rows as a tuple, result, pool size) and pool additions in order.
+    Both the package's pool, which is passed the rows, and the reference's
+    per-member pool, which is passed the candidate's edges and whose rows
+    are built here by ``remove_edges``, record."""
     log = []
 
-    def recording(pool_class):
+    def recording(pool_class, rows):
         class RecordingPool(pool_class):
             def add(self, dmask):
                 log.append(dmask)
                 super().add(dmask)
 
-            def some_member_survives(self, zedges):
-                result = super().some_member_survives(zedges)
-                log.append((zedges, result, len(self.touch)))
+            def some_member_survives(self, *candidate):
+                result = super().some_member_survives(*candidate)
+                log.append((rows(self, *candidate), result, len(self.touch)))
                 return result
 
         return RecordingPool
 
-    package_pool = recording(bondage._DominatingPool)
-    reference_pool = recording(reference_scan.ReferencePool)
+    package_pool = recording(bondage._DominatingPool, lambda pool, damaged, full: tuple(damaged))
+    reference_pool = recording(
+        reference_scan.ReferencePool,
+        lambda pool, zedges: tuple(
+            remove_edges(pool.graph, [pool.edges[e] for e in zedges]).closed_rows()
+        ),
+    )
     with patch.object(bondage, "_DominatingPool", package_pool), patch.object(
         reference_scan, "ReferencePool", reference_pool
     ):
@@ -475,12 +482,12 @@ def test_each_member_is_a_minimum_dominating_set_of_its_damaged_graph(g):
     edges = g.edges()
     gamma = gamma_value(g)
     _, log = _recorded_scan(find_bondage_set_up_to, g, len(edges))
-    candidate = ()  # the first member covers the intact graph
+    candidate = []  # the first member covers the intact graph
     for entry in log:
-        if isinstance(entry, tuple):
-            candidate = entry[0]
+        if isinstance(entry, tuple):  # the edges the candidate's rows lack
+            candidate = [(u, v) for u, v in edges if not entry[0][u] >> v & 1]
             continue
-        damaged = remove_edges(g, [edges[e] for e in candidate])
+        damaged = remove_edges(g, candidate)
         assert entry.bit_count() == gamma
         assert domination.is_dominating(damaged, list(iter_bits(entry)))
 
