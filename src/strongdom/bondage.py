@@ -21,8 +21,8 @@ can break its domination; as a bit mask over edges, a member's touch mask is
 the XOR of its vertices' incident-edge masks.  So the scan visits only the
 sets that touch every member: the sets that miss one are skipped in bulk,
 as the last edges of each prefix are narrowed, as one bit mask, to the
-edges that touch every member the prefix misses, and a prefix one edge
-short is pushed only when that mask is not empty.  For a visited set B the
+edges that touch every member the prefix misses, and a penultimate edge is
+taken only when that mask has an edge above it.  For a visited set B the
 closed rows of G - B are built, and each member in turn is checked for
 domination on them: the OR of its vertices' rows must hold every vertex.
 A set that kills every member is tried with a one-vertex repair: a member
@@ -30,9 +30,12 @@ with one vertex swapped that dominates G - B shows that B is no bondage
 set.  Only when no swap works is the exact solver asked, which keeps the
 search exhaustive and exact regardless of pool quality.
 The scan is a depth-first search that grows each candidate edge by edge,
-popping each next edge, the last one included, from a bit mask of the
-edges that keep the prefix touching a prefix of every twin class, and
-extends a prefix only while it is a leader itself.
+popping each next edge from a bit mask of the edges that keep the prefix
+touching a prefix of every twin class, and extends a prefix only while it
+is a leader itself.  The last two edges are taken in one loop: a prefix
+two edges short first drops in bulk the next edges that no admissible last
+edge touching every member it misses can complete, then pairs each edge
+left with its last edges, with no stack level for the last.
 
 The pool grows lazily, as in the implicit hitting set loop of Chandrasekaran,
 Karp, Moreno-Centeno and Vempala (SODA 2011): it starts from one minimum
@@ -63,14 +66,20 @@ class BondageResult:
 
 
 def is_bondage_set(
-    graph: Graph, edges: Iterable[tuple[int, int]], *, deadline: float | None = None
+    graph: Graph,
+    edges: Iterable[tuple[int, int]],
+    *,
+    deadline: float | None = None,
+    gamma: int | None = None,
 ) -> bool:
     """True iff removing ``edges`` strictly raises the domination number.
 
-    ``deadline`` is as in ``find_bondage_set_up_to``; both searches check it.
+    ``deadline`` and ``gamma`` are as in ``find_bondage_set_up_to``; both
+    searches check the deadline.
     """
     damaged = remove_edges(graph, edges).closed_rows()
-    gamma = gamma_value(graph, deadline=deadline)
+    if gamma is None:
+        gamma = gamma_value(graph, deadline=deadline)
     return _cover_within(damaged, graph.full_mask, gamma, deadline) is None
 
 
@@ -170,22 +179,33 @@ def _twin_classes(rows: Sequence[int]) -> Iterable[list[int]]:
 def _onto_last_twins(dmask: int, rows: Sequence[int]) -> int:
     """``dmask`` with the vertices it holds in each twin class of ``rows``
     moved onto that class's last vertices.  A swap of closed twins is an
-    automorphism, so the moved set dominates wherever ``dmask`` did."""
+    automorphism, so the moved set dominates wherever ``dmask`` did.  Closed
+    twins are adjacent, so the class of a vertex ``x`` is read off its own
+    row: the ``y`` in ``rows[x]`` with ``rows[y] == rows[x]``."""
     moved = 0
-    for members in _twin_classes(rows):
-        held = sum(dmask >> v & 1 for v in members)
-        moved |= sum(1 << v for v in members[len(members) - held :])
+    left = dmask
+    while left:
+        row = rows[(left & -left).bit_length() - 1]
+        twins = 0
+        for y in iter_bits(row):
+            if rows[y] == row:
+                twins |= 1 << y
+        left &= ~twins
+        for _ in range((dmask & twins).bit_count()):
+            last = 1 << twins.bit_length() - 1
+            moved |= last
+            twins ^= last
     return moved
 
 
-_Tables = tuple[int, int, list[int], list[int], list[int]]
+_Tables = tuple[int, int, list[int], list[int], list[int], list[int]]
 
 
 def _scan_tables(
     closed: Sequence[int], edges: Sequence[Edge], incident: Sequence[int]
 ) -> _Tables:
     """The masks ``_sets_touching_pool`` walks: ``(start, reach, opens, links,
-    images)``.
+    images, prev)``.
 
     ``closed`` holds the closed rows and ``incident`` the pool's
     incident-edge masks; vertices with equal rows are closed twins, and
@@ -201,6 +221,11 @@ def _scan_tables(
     where there is none).  The tables are built in one pass over the
     classes, opening each least vertex in turn.
 
+    ``prev[v]`` is the bit of ``v``'s previous twin, 0 for a class's least
+    vertex.  It gives ``pres(e)``, the previous twins that must be touched
+    before ``e = (x, y)`` is admissible: ``{prev(x)}`` for a link from ``x``
+    to its next twin, else ``{prev(x), prev(y)}``.
+
     ``images[e]`` is the bit of ``g(e)``.  If the reversal ``v -> order - 1 -
     v`` is an automorphism, ``g`` follows it by reversing the order inside
     every twin class, so that it maps class prefixes onto class prefixes (on
@@ -215,6 +240,7 @@ def _scan_tables(
     image = list(range(order))
     opens = [0] * order
     links = [0] * order
+    prev = [0] * order
     start = reach = 0
     for members in _twin_classes(closed):
         inc = [incident[v] for v in members] + [0, 0]
@@ -224,11 +250,13 @@ def _scan_tables(
         for i, v in enumerate(members):
             opens[v] = inc[i + 1]
             links[v] = inc[i + 1] & inc[i + 2]
+            if i:
+                prev[v] = 1 << members[i - 1]
         if mirrored:
             for v, w in zip(members, reversed(members)):
                 image[v] = order - 1 - w
     images = [incident[image[u]] & incident[image[v]] for u, v in edges]
-    return start, reach, opens, links, images
+    return start, reach, opens, links, images, prev
 
 
 def _sets_touching_pool(
@@ -252,38 +280,65 @@ def _sets_touching_pool(
     the edges in the prefix or its image but not both.  A set and its image
     have the same size, so an edge is skipped iff the grown prefix's image
     is smaller: iff the lowest edge of the grown ``diff`` is in the grown
-    ``fm``.  An equal image is never skipped.  A (k-1)-edge prefix pops its
-    last edges by the same loop, from its admissible edges ANDed with the
-    touch mask of every member the prefix misses, since a set that misses a
-    member leaves it dominating, and yields each edge that passes the mirror
-    test instead of pushing it.  That mask is built before the push: a
-    (k-2)-edge prefix keeps ``unhit``, the members it misses, so the grown
-    prefix misses ``unhit`` less the members its new edge touches, and the
-    AND of those members' touch masks is memoised by the member mask for
-    the whole call (a member's touch mask never changes once added).  A
-    prefix whose mask is empty has no last edge and is not pushed.
-    ``pooled`` counts the members that have narrowed the mask, all of them
-    at the push.  The pool grows only when the caller adds a cover, at a
-    yield, so then ``unhit`` is recomputed and the mask is narrowed by the
-    new members the prefix misses.  Edges that pass the mirror test count
-    as steps, pushed or not, and the deadline is checked at the first push
-    attempt after every 2,048 steps.
+    ``fm``.  An equal image is never skipped.
+
+    The last two edges are taken in one loop, with no stack level for the
+    last.  A (k-2)-edge prefix keeps ``unhit``, the members it misses, and
+    pops each penultimate edge ``e`` that passes the mirror test.  A set
+    that misses a member leaves it dominating, so the last edge must touch
+    every member in ``unhit`` that ``e`` misses: ``need``, the AND of their
+    touch masks, memoised by the member mask for the whole call (a member's
+    touch mask never changes once added).  If ``need`` has no edge above
+    ``e``, ``e`` is passed over before its admissible edges are worked out;
+    else each edge of ``need`` admissible after ``e`` that passes the
+    mirror test is yielded as the last.  The pool grows only when the caller
+    adds a cover, at a yield, so then ``unhit`` and the rest of ``e``'s last
+    edges are narrowed by the new members the prefix misses.
+
+    Before that loop, the penultimate edges are filtered in bulk
+    (``completable``).  An edge that touches no member in ``unhit`` leaves
+    the last edge to touch all of them, so that edge must lie in
+    ``common``, the AND of their touch masks, above ``e`` and admissible
+    after ``e``: its ``pres`` (``_scan_tables``) must lie in the vertices
+    the prefix touches and the ends of ``e``.  Such an ``e`` is kept iff
+    some edge of ``common`` allows it; an edge already admissible allows
+    every ``e`` below it, and one not yet admissible only the ``e`` below
+    it that touch what its ``pres`` still lacks.  Above the top admissible
+    edge of ``common``, the pass runs only when ``common`` has fewer edges
+    not yet admissible than there are edges it could drop, so that it
+    costs less than the edges' own tests.  Members added later only narrow
+    the last edges further, so the filter stays sound.
+
+    Edges that pass the mirror test count as steps: the pushed ones, the
+    penultimate ones and the last ones yielded; the edges the bulk filter
+    drops are never popped and do not count.  The deadline is checked at
+    the first pushed or penultimate step after every 2,048 steps.  At size
+    1 there is no penultimate edge: each admissible edge that passes the
+    mirror test and touches every member is yielded, and no step counts.
     """
-    start, reach, opens, links, images = tables
+    start, reach, opens, links, images, prev = tables
     edges = pool.edges
+    incident = pool.incident
     touch = pool.touch
     by_edge = pool.by_edge
+    if k == 1:  # no penultimate edge: every single edge that touches every member
+        for e in iter_bits(start):
+            image = images[e]
+            d = 1 << e ^ image
+            if not d & -d & image and by_edge[e] + 1 == 1 << len(touch):
+                yield (e,)
+        return
     n = len(edges)
     # room[j]: the edges a j-edge prefix may take next, leaving k - 1 - j to come
-    room = [(1 << (n - k + 1 + j)) - 1 for j in range(k)]
+    room = [(1 << (n - k + 1 + j)) - 1 for j in range(k - 1)]
     levels: list[tuple[int, int, int, int, int, int]] = []
     prefix: list[int] = []
     allowed = start
     vmask = diff = fm = 0
     todo = start & room[0]
     j = 0  # edges in the prefix
-    pooled = 0  # the members that have narrowed todo at level k - 1
     needs: dict[int, int] = {}  # a mask of members -> the AND of their touch masks
+    hits: dict[int, int] = {}  # a mask of members -> the OR of their touch masks
 
     def missed_by(part: list[int]) -> int:
         missed = (1 << len(touch)) - 1
@@ -291,22 +346,107 @@ def _sets_touching_pool(
             missed &= ~by_edge[p]
         return missed
 
-    unhit = missed_by(prefix)  # the members that the (k-2)-edge prefix misses
+    def needed(missed: int) -> int:
+        need = -1
+        for i in iter_bits(missed):
+            need &= touch[i]
+        needs[missed] = need
+        return need
+
+    def completable(todo: int, unhit: int, allowed: int, vmask: int) -> int:
+        """``todo`` less the penultimate edges that touch no member in
+        ``unhit`` and that no admissible last edge can complete."""
+        if not unhit:
+            return todo
+        common = needs.get(unhit)
+        if common is None:
+            common = needed(unhit)
+        free = common & allowed  # the top free edge completes every edge below it
+        below = (1 << free.bit_length() - 1) - 1 if free else 0
+        late = common & ~allowed & ~below
+        if late.bit_count() >= todo.bit_count():  # spare lies in todo, so the pass would not run
+            return todo
+        hit = hits.get(unhit)
+        if hit is None:
+            hit = 0
+            for i in iter_bits(unhit):
+                hit |= touch[i]
+            hits[unhit] = hit
+        keep = todo & (hit | below)
+        spare = todo & ~(hit | below)  # the edges the pass may drop
+        if late.bit_count() >= spare.bit_count():
+            return todo
+        while late and spare:
+            low = late & -late
+            late ^= low
+            ends = spare & low - 1  # the spare edges below f that touch all pres(f) lacks
+            x, y = edges[low.bit_length() - 1]
+            missing = (prev[x] | prev[y] & ~(1 << x)) & ~vmask  # a link: prev(y) is x
+            while missing:
+                bit = missing & -missing
+                missing ^= bit
+                ends &= incident[bit.bit_length() - 1]
+            keep |= ends
+            spare ^= ends
+        return keep
+
     steps = 0
     check_at = 2048
+
+    def past(steps: int) -> int:
+        """Raise once the deadline has passed; else the step count to check at next."""
+        if deadline is not None and time.monotonic() > deadline:
+            raise TimeBudgetExceeded(f"deadline hit after {steps} scan steps at size {k}")
+        return steps + 2048
+
     while True:
-        if j == k - 1 and pooled != len(touch):
-            # the pool grew (or k = 1): narrow todo by the new members missed
-            unhit = missed_by(prefix[: k - 2])
-            missing = unhit >> pooled << pooled
-            if j:
-                missing &= ~by_edge[prefix[-1]]
+        if j == k - 2:  # the last two edges, in one loop
             pooled = len(touch)
-            while missing and todo:
-                low = missing & -missing
-                missing ^= low
-                todo &= touch[low.bit_length() - 1]
-        if todo:
+            unhit = missed_by(prefix)
+            todo = completable(todo, unhit, allowed, vmask)
+            while todo:
+                low = todo & -todo
+                todo ^= low
+                e = low.bit_length() - 1
+                image = images[e]
+                d = diff ^ low ^ image
+                grown_fm = fm | image
+                if d & -d & grown_fm:
+                    continue
+                steps += 1
+                if steps >= check_at:
+                    check_at = past(steps)
+                missed = unhit & ~by_edge[e]
+                need = needs.get(missed)
+                if need is None:
+                    need = needed(missed)
+                need = need >> e + 1 << e + 1
+                if not need:  # no last edge touches every member missed
+                    continue
+                u, v = edges[e]
+                last, grown_reach = allowed, reach
+                if not vmask >> u & 1:
+                    last |= opens[u] & grown_reach | links[u]
+                    grown_reach |= opens[u]
+                if not vmask >> v & 1:
+                    last |= opens[v] & grown_reach | links[v]
+                last &= need
+                while last:
+                    low = last & -last
+                    last ^= low
+                    image = images[low.bit_length() - 1]
+                    d_last = d ^ low ^ image
+                    if d_last & -d_last & (grown_fm | image):
+                        continue
+                    steps += 1
+                    yield (*prefix, e, low.bit_length() - 1)
+                    if pooled != len(touch):  # narrow by the new members the prefix misses
+                        new = missed_by(prefix) >> pooled << pooled
+                        pooled = len(touch)
+                        unhit |= new
+                        for i in iter_bits(new & ~by_edge[e]):
+                            last &= touch[i]
+        elif todo:
             low = todo & -todo
             todo ^= low
             e = low.bit_length() - 1
@@ -315,44 +455,22 @@ def _sets_touching_pool(
             if d & -d & (fm | image):
                 continue
             steps += 1
-            if j == k - 1:
-                yield (*prefix, e)
-                continue
-            if deadline is not None and steps >= check_at:
-                if time.monotonic() > deadline:
-                    raise TimeBudgetExceeded(f"deadline hit after {steps} scan steps at size {k}")
-                check_at = steps + 2048
-            u, v = edges[e]
-            grown_allowed, grown_reach = allowed, reach
-            if not vmask >> u & 1:
-                grown_allowed |= opens[u] & grown_reach | links[u]
-                grown_reach |= opens[u]
-            if not vmask >> v & 1:
-                grown_allowed |= opens[v] & grown_reach | links[v]
-                grown_reach |= opens[v]
-            grown = grown_allowed >> e + 1 << e + 1 & room[j + 1]
-            if j == k - 2:
-                missed = unhit & ~by_edge[e]
-                need = needs.get(missed)
-                if need is None:
-                    need = -1
-                    for i in iter_bits(missed):
-                        need &= touch[i]
-                    needs[missed] = need
-                grown &= need
-                if not grown:  # no last edge touches every member missed
-                    continue
+            if steps >= check_at:
+                check_at = past(steps)
             levels.append((todo, allowed, reach, vmask, diff, fm))
-            allowed, reach = grown_allowed, grown_reach
+            u, v = edges[e]
+            if not vmask >> u & 1:
+                allowed |= opens[u] & reach | links[u]
+                reach |= opens[u]
+            if not vmask >> v & 1:
+                allowed |= opens[v] & reach | links[v]
+                reach |= opens[v]
             vmask |= 1 << u | 1 << v
             diff = d
             fm |= image
             prefix.append(e)
             j += 1
-            todo = grown
-            pooled = len(touch)
-            if j == k - 2:
-                unhit = missed_by(prefix)
+            todo = allowed >> e + 1 << e + 1 & room[j]
             continue
         if not j:
             return
@@ -362,7 +480,7 @@ def _sets_touching_pool(
 
 
 def find_bondage_set_up_to(
-    graph: Graph, k: int, *, deadline: float | None = None
+    graph: Graph, k: int, *, deadline: float | None = None, gamma: int | None = None
 ) -> tuple[Edge, ...] | None:
     """Smallest (then lexicographically least) bondage set of size <= k, or
     None once every size up to k has been refuted.
@@ -404,8 +522,10 @@ def find_bondage_set_up_to(
 
     ``deadline`` is a ``time.monotonic()`` instant (None: unlimited),
     checked on entry, every 2,048 scan steps (the edges that pass the
-    mirror test, pushed or not, and the sets visited) and inside each gamma
-    and solver call; passing it raises ``TimeBudgetExceeded``.
+    mirror test, pushed, penultimate or last; ``_sets_touching_pool``) and
+    inside each gamma and solver call; passing it raises
+    ``TimeBudgetExceeded``.  ``gamma``, the domination number of
+    ``graph``, is computed when not given.
     """
     _check_entry(deadline, "bondage scan")
     edges = graph.edges()
@@ -413,7 +533,8 @@ def find_bondage_set_up_to(
         return None
     closed = graph.closed_rows()
     full = graph.full_mask
-    gamma = gamma_value(graph, deadline=deadline)
+    if gamma is None:
+        gamma = gamma_value(graph, deadline=deadline)
     pool = _DominatingPool(graph, edges)
     tables = _scan_tables(closed, edges, pool.incident)
     pool.add(_onto_last_twins(_cover_within(closed, full, gamma, deadline), closed))

@@ -30,7 +30,7 @@ from typing import Iterable, Iterator, Sequence
 
 from ._version import __version__
 from .bondage import bondage_number, find_bondage_set_up_to, is_bondage_set
-from .domination import TimeBudgetExceeded, _deadline, domination_number
+from .domination import TimeBudgetExceeded, _deadline, domination_number, gamma_value
 from .formulas import (
     _ceil3,
     bondage_complete,
@@ -314,10 +314,13 @@ def verify_instance(
                 prescribed = prescribed_bondage_set(built)
             if prescribed is not None:
                 method = "witness+refutation"
+                gamma = gamma_value(graph, deadline=deadline)  # once, for both sides
                 upper_ok = len(prescribed) == formula and is_bondage_set(
-                    graph, prescribed, deadline=deadline
+                    graph, prescribed, deadline=deadline, gamma=gamma
                 )
-                counterexample = find_bondage_set_up_to(graph, formula - 1, deadline=deadline)
+                counterexample = find_bondage_set_up_to(
+                    graph, formula - 1, deadline=deadline, gamma=gamma
+                )
                 if counterexample is not None:
                     computed, witness = len(counterexample), counterexample
                     note = "refutation failed: a smaller bondage set exists"

@@ -8,7 +8,7 @@ from unittest.mock import patch
 
 import pytest
 
-from strongdom import harness
+from strongdom import bondage, harness
 from strongdom.bondage import is_bondage_set
 from strongdom.domination import _covers_in_lex_order, gamma_value
 from strongdom.graphs import (
@@ -192,6 +192,21 @@ def test_prescribed_bondage_sets_certify_every_family():
                 assert {v for e in cover for v in e} == set(idx.column(columns.pop())), spec
             touched = [v for e in rungs for v in e]
             assert len(touched) == len(set(touched)), spec
+
+
+def test_two_sided_bondage_verdict_computes_gamma_once(monkeypatch):
+    # the witness check and the refutation share one gamma of the intact graph
+    calls = []
+
+    def counted(graph, deadline=None):
+        calls.append(graph)
+        return gamma_value(graph, deadline=deadline)
+
+    monkeypatch.setattr(harness, "gamma_value", counted)
+    monkeypatch.setattr(bondage, "gamma_value", counted)
+    entry = verify_instance(InstanceSpec("km-pn", m=3, n=4), "bondage")
+    assert entry.match and entry.method == "witness+refutation"
+    assert len(calls) == 1
 
 
 def test_verify_failed_witness_falls_back_to_search(monkeypatch):
