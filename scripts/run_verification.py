@@ -21,7 +21,7 @@ from strongdom.formulas import gamma_starlike, starlike_canonical_dominating_set
 from strongdom.graphs import StarlikeSpec, starlike_tree
 from strongdom.harness import (
     InstanceSpec,
-    build_report,
+    Report,
     emit_report,
     km_pn_instances,
     mds_structure_entries,
@@ -88,14 +88,14 @@ def main(argv: list[str] | None = None) -> int:
     print(f"  starlike domination mismatches: {mismatches}")
 
     total_ms = (time.monotonic() - start) * 1000.0
-    report = build_report(entries, {"jobs-note": "entry order is job-independent"}, total_ms)
+    report = Report({"jobs-note": "entry order is job-independent"}, tuple(entries), total_ms)
     print()
     print(emit_report(report, "text-table"))
     if args.json_out:
         with open(args.json_out, "w", encoding="utf-8") as fh:
             fh.write(emit_report(report, "json"))
         print(f"JSON report written to {args.json_out}")
-    return 0 if report.all_match() and mismatches == 0 else 1
+    return 0 if not report.failed and mismatches == 0 else 1
 
 
 if __name__ == "__main__":

@@ -20,14 +20,12 @@ from .graphs import (
     path_graph,
     remove_edges,
     render_graph_text,
-    star_graph,
     starlike_tree,
     strong_product,
 )
 from .harness import (
     InstanceSpec,
     build_instance,
-    build_report,
     emit_report,
     km_pn_instances,
     mds_structure_entries,
@@ -47,7 +45,6 @@ __all__ = [
     "bondage_number",
     "bondage_path",
     "build_instance",
-    "build_report",
     "complete_graph",
     "domination_number",
     "emit_report",
@@ -60,7 +57,6 @@ __all__ = [
     "path_graph",
     "remove_edges",
     "render_graph_text",
-    "star_graph",
     "starlike_branch_multisets",
     "starlike_canonical_dominating_set",
     "starlike_tree",

@@ -19,8 +19,8 @@ from .graphs import render_graph_text
 from .harness import (
     FAMILIES,
     InstanceSpec,
+    Report,
     build_instance,
-    build_report,
     emit_report,
     mds_structure_entries,
     sweep,
@@ -128,46 +128,22 @@ def _ranged_instances(args) -> list[InstanceSpec]:
 def _emit(report, as_json: bool) -> int:
     fmt = "json" if as_json else "text-table"
     sys.stdout.write(emit_report(report, fmt))
-    return 0 if report.all_match() and not report.skipped else 1
+    return 0 if not report.failed and not report.skipped else 1
 
 
-def _cmd_gamma(args) -> int:
+def _cmd_value(args) -> int:
+    """``gamma`` or ``bondage``: the exact value of one instance with its
+    lexicographically least witness (vertices or edges)."""
     spec = _single_instance(args)
-    built = build_instance(spec)
-    result = domination_number(built.graph, deadline=_deadline(args.budget_seconds))
+    search = domination_number if args.command == "gamma" else bondage_number
+    result = search(build_instance(spec).graph, deadline=_deadline(args.budget_seconds))
+    witness = list(result.witness)
     if args.json:
-        print(
-            json.dumps(
-                {
-                    "instance": spec.as_dict(),
-                    "gamma": result.value,
-                    "witness": list(result.witness),
-                }
-            )
-        )
+        payload = {"instance": spec.as_dict(), args.command: result.value, "witness": witness}
+        print(json.dumps(payload))
     else:
-        print(f"gamma({spec.label()}) = {result.value}")
-        print(f"witness: {list(result.witness)}")
-    return 0
-
-
-def _cmd_bondage(args) -> int:
-    spec = _single_instance(args)
-    built = build_instance(spec)
-    result = bondage_number(built.graph, deadline=_deadline(args.budget_seconds))
-    if args.json:
-        print(
-            json.dumps(
-                {
-                    "instance": spec.as_dict(),
-                    "bondage": result.value,
-                    "witness": [list(e) for e in result.witness],
-                }
-            )
-        )
-    else:
-        print(f"bondage({spec.label()}) = {result.value}")
-        print(f"witness: {[tuple(e) for e in result.witness]}")
+        print(f"{args.command}({spec.label()}) = {result.value}")
+        print(f"witness: {witness}")
     return 0
 
 
@@ -194,7 +170,7 @@ def _cmd_mds_check(args) -> int:
         for n in args.n:
             entries.extend(mds_structure_entries(m, n))
     total = (time.monotonic() - start) * 1000.0
-    report = build_report(entries, {"m": args.m, "n": args.n}, total)
+    report = Report({"m": args.m, "n": args.n}, tuple(entries), total)
     return _emit(report, args.json)
 
 
@@ -219,15 +195,11 @@ def main(argv: list[str] | None = None) -> int:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("gamma", help="exact domination number of one instance")
-    _add_instance_flags(p, ranged=False)
-    _add_search_flags(p)
-    p.set_defaults(func=_cmd_gamma)
-
-    p = sub.add_parser("bondage", help="exact bondage number of one instance")
-    _add_instance_flags(p, ranged=False)
-    _add_search_flags(p)
-    p.set_defaults(func=_cmd_bondage)
+    for command, quantity in (("gamma", "domination"), ("bondage", "bondage")):
+        p = sub.add_parser(command, help=f"exact {quantity} number of one instance")
+        _add_instance_flags(p, ranged=False)
+        _add_search_flags(p)
+        p.set_defaults(func=_cmd_value)
 
     p = sub.add_parser("verify", help="verify one instance against its formula")
     _add_instance_flags(p, ranged=False)

@@ -89,9 +89,8 @@ def starlike_canonical_dominating_set(spec: StarlikeSpec) -> tuple[int, ...]:
     if residues.count(1) or not residues.count(2):
         chosen.append(spec.center)
     for i in range(1, spec.branch_count + 1):
-        length = spec.branches[i - 1]
-        start = {1: 3, 2: 1, 0: 2}[length % 3]
-        chosen.extend(spec.branch_vertex(i, k) for k in range(start, length, 3))
+        start = {1: 3, 2: 1, 0: 2}[spec.branches[i - 1] % 3]
+        chosen.extend(spec.branch_vertices(i)[start - 1 :: 3])
     return tuple(sorted(chosen))
 
 

@@ -68,12 +68,6 @@ class Graph:
     def full_mask(self) -> int:
         return (1 << self.order) - 1
 
-    def degree(self, v: int) -> int:
-        return self.rows[v].bit_count()
-
-    def neighbors(self, v: int) -> tuple[int, ...]:
-        return tuple(iter_bits(self.rows[v]))
-
     def closed_rows(self) -> list[int]:
         """Closed-neighbourhood masks, ``rows[v] | {v}``."""
         return [row | (1 << v) for v, row in enumerate(self.rows)]
@@ -88,9 +82,6 @@ class Graph:
             above = self.rows[u] >> (u + 1) << (u + 1)
             out.extend((u, v) for v in iter_bits(above))
         return tuple(out)
-
-    def edge_count(self) -> int:
-        return sum(row.bit_count() for row in self.rows) // 2
 
 
 def complete_graph(m: int) -> Graph:
@@ -114,14 +105,6 @@ def path_graph(n: int) -> Graph:
             row |= 1 << (v + 1)
         rows.append(row)
     return Graph(n, tuple(rows))
-
-
-def star_graph(n: int) -> Graph:
-    """Centre vertex 0 joined to leaves 1..n; n = 0 gives a single vertex."""
-    if n < 0:
-        raise ValueError("leaf count must be non-negative")
-    rows = [(1 << (n + 1)) - 2] + [1] * n
-    return Graph(n + 1, tuple(rows))
 
 
 @dataclass(frozen=True)
@@ -154,22 +137,12 @@ class StarlikeSpec:
     def center(self) -> int:
         return 0
 
-    def _check_branch(self, i: int) -> None:
-        if not 1 <= i <= self.branch_count:
-            raise ValueError(f"branch index {i} out of range 1..{self.branch_count}")
-
     def branch_vertices(self, i: int) -> tuple[int, ...]:
         """Vertices of branch ``i`` (1-based), nearest to the centre first."""
-        self._check_branch(i)
+        if not 1 <= i <= self.branch_count:
+            raise ValueError(f"branch index {i} out of range 1..{self.branch_count}")
         start = 1 + sum(self.branches[: i - 1])
         return tuple(range(start, start + self.branches[i - 1]))
-
-    def branch_vertex(self, i: int, k: int) -> int:
-        """The k-th vertex (1-based) along branch ``i``, counted from the centre."""
-        self._check_branch(i)
-        if not 1 <= k <= self.branches[i - 1]:
-            raise ValueError(f"position {k} out of range 1..{self.branches[i - 1]}")
-        return 1 + sum(self.branches[: i - 1]) + (k - 1)
 
     def label(self) -> str:
         return "S(" + ",".join(map(str, self.branches)) + ")"

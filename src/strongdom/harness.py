@@ -87,7 +87,7 @@ class InstanceSpec:
                 f"{self.family} takes only {' and '.join(taken)}, not {', '.join(stray)}"
             )
         if self.branches is not None:
-            object.__setattr__(self, "branches", tuple(int(b) for b in self.branches))
+            object.__setattr__(self, "branches", StarlikeSpec(self.branches).branches)
         if self.family == "km-pn" and ((self.m or 0) < 1 or (self.n or 0) < 1):
             raise ValueError("km-pn needs m >= 1 and n >= 1")
         if self.family == "km-starlike":
@@ -258,9 +258,6 @@ class Report:
     def skipped(self) -> int:
         return sum(1 for e in self.entries if e.skipped)
 
-    def all_match(self) -> bool:
-        return all(e.match for e in self.entries if not e.skipped)
-
     def as_dict(self) -> dict:
         return {
             "tool": "strongdom",
@@ -270,10 +267,6 @@ class Report:
             "summary": {"pass": self.passed, "fail": self.failed, "skipped": self.skipped},
             "total_elapsed_ms": round(self.total_elapsed_ms, 3),
         }
-
-
-def build_report(entries: Iterable[ReportEntry], config: dict, total_elapsed_ms: float) -> Report:
-    return Report(dict(config), tuple(entries), total_elapsed_ms)
 
 
 def verify_instance(
@@ -386,7 +379,7 @@ def sweep(
             entries = pool.starmap(verify, tasks)
     total_ms = (time.monotonic() - start) * 1000.0
     config = {"quantity": quantity, "full_search": full_search, "budget_seconds": budget_seconds}
-    return build_report(entries, config, total_ms)
+    return Report(config, tuple(entries), total_ms)
 
 
 def km_pn_instances(ms: Iterable[int], ns: Iterable[int]) -> list[InstanceSpec]:

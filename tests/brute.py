@@ -12,8 +12,13 @@ from itertools import combinations
 from strongdom.graphs import Graph, remove_edges
 
 
+def neighbours(graph: Graph, v: int) -> list[int]:
+    """Neighbours of ``v`` read bit by bit off its adjacency row."""
+    return [u for u in range(graph.order) if graph.rows[v] >> u & 1]
+
+
 def closed_sets(graph: Graph) -> list[set[int]]:
-    return [set(graph.neighbors(v)) | {v} for v in range(graph.order)]
+    return [set(neighbours(graph, v)) | {v} for v in range(graph.order)]
 
 
 def brute_gamma(graph: Graph) -> int:
@@ -68,7 +73,7 @@ def distance_matrix(graph: Graph) -> list[list[float]]:
             d += 1
             nxt = []
             for v in frontier:
-                for u in graph.neighbors(v):
+                for u in neighbours(graph, v):
                     if u not in seen:
                         seen.add(u)
                         dist[src][u] = d

@@ -22,7 +22,6 @@ from strongdom.graphs import (
     complete_graph,
     path_graph,
     remove_edges,
-    star_graph,
     starlike_tree,
     strong_product,
 )
@@ -243,7 +242,7 @@ def test_criterion_7_block_lemma_trials():
         m = rng.choice((2, 3, 4))
         leaves = rng.choice((1, 2, 3))
         bound = (m + 1) // 2
-        block, idx = strong_product(complete_graph(m), star_graph(leaves))
+        block, idx = strong_product(complete_graph(m), starlike_tree(StarlikeSpec((1,) * leaves)))
         n = leaves + 1
         # leaf columns are the non-centre right vertices; their internal edges are exempt
         interior = [

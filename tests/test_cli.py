@@ -39,6 +39,32 @@ def test_bondage_command(capsys):
     assert json.loads(out)["bondage"] == 2
 
 
+@pytest.mark.parametrize(
+    "argv, expected",
+    [
+        (
+            ("gamma", "--family", "km-pn", "--m", "3", "--n", "7"),
+            "gamma(km-pn(m=3,n=7)) = 3\nwitness: [0, 2, 5]\n",
+        ),
+        (
+            ("gamma", "--family", "km-pn", "--m", "3", "--n", "7", "--json"),
+            '{"instance": {"family": "km-pn", "m": 3, "n": 7}, "gamma": 3, "witness": [0, 2, 5]}\n',
+        ),
+        (
+            ("bondage", "--family", "km-pn", "--m", "2", "--n", "4"),
+            "bondage(km-pn(m=2,n=4)) = 3\nwitness: [(0, 1), (0, 4), (0, 5)]\n",
+        ),
+        (
+            ("bondage", "--family", "km-pn", "--m", "2", "--n", "4", "--json"),
+            '{"instance": {"family": "km-pn", "m": 2, "n": 4}, "bondage": 3, '
+            '"witness": [[0, 1], [0, 4], [0, 5]]}\n',
+        ),
+    ],
+)
+def test_value_command_output_is_pinned(capsys, argv, expected):
+    assert run(capsys, *argv) == (0, expected)
+
+
 def test_budget_flag_accepts_fractions(capsys):
     flags = ("--family", "path", "--n", "4", "--budget-seconds", "0.5", "--json")
     code, out = run(capsys, "bondage", *flags)
@@ -118,6 +144,12 @@ def test_gamma_rejects_search_flags(capsys, flags):
             ("gamma", "--family", "km-pn", "--m", "3", "--n", "7")
             + ("--budget-seconds", "0.5"),
             "skipped: ",
+        ),
+        # a branch length out of range, as for any other size flag
+        (
+            ("verify", "--family", "km-starlike", "--m", "2", "--branches", "0,1")
+            + ("--quantity", "gamma"),
+            "error: branch lengths must be positive",
         ),
     ],
 )

@@ -14,11 +14,12 @@ from strongdom.domination import (
 )
 from strongdom.graphs import (
     Graph,
+    StarlikeSpec,
     complete_graph,
     iter_bits,
     path_graph,
     remove_edges,
-    star_graph,
+    starlike_tree,
     strong_product,
 )
 
@@ -73,7 +74,8 @@ def test_gamma_examples():
 
 
 def test_witness_dominates_and_is_lex_least():
-    for g in (path_graph(7), star_graph(4), strong_product(complete_graph(2), path_graph(4))[0]):
+    star = starlike_tree(StarlikeSpec((1,) * 4))
+    for g in (path_graph(7), star, strong_product(complete_graph(2), path_graph(4))[0]):
         result = domination_number(g)
         assert is_dominating(g, result.witness)
         assert result.witness == min(brute_min_dominating_sets(g))
