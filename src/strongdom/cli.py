@@ -136,7 +136,7 @@ def _cmd_value(args) -> int:
     lexicographically least witness (vertices or edges)."""
     spec = _single_instance(args)
     search = domination_number if args.command == "gamma" else bondage_number
-    result = search(build_instance(spec).graph, deadline=_deadline(args.budget_seconds))
+    result = search(build_instance(spec), deadline=_deadline(args.budget_seconds))
     witness = list(result.witness)
     if args.json:
         payload = {"instance": spec.as_dict(), args.command: result.value, "witness": witness}
@@ -178,8 +178,7 @@ def _cmd_product(args) -> int:
     spec = _single_instance(args)
     if spec.family == "file":
         raise SystemExit("error: product needs a generated family, not a file")
-    built = build_instance(spec)
-    text = render_graph_text(built.graph)
+    text = render_graph_text(build_instance(spec))
     if args.output:
         with open(args.output, "w", encoding="utf-8") as fh:
             fh.write(text)

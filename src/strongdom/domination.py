@@ -11,8 +11,9 @@ yields the lexicographically least witness.
 
 Both searches take an optional ``deadline`` (a ``time.monotonic()`` instant,
 None for unlimited), checked on entry and then every 1,024 branching nodes of
-the cover search or every 1,024 nodes of the lexicographic search; passing
-it raises ``TimeBudgetExceeded``.
+the cover search or every 1,024 nodes of the lexicographic search, and by
+the greedy pass between picks once it has scanned 1,024 rows since its last
+check; passing it raises ``TimeBudgetExceeded``.
 """
 
 from __future__ import annotations
@@ -58,9 +59,14 @@ def is_dominating(graph: Graph, vertices: Iterable[int]) -> bool:
     return covered == graph.full_mask
 
 
-def _greedy_cover_size(closed: Sequence[int], full: int) -> int:
-    covered, count = 0, 0
+def _greedy_cover_size(closed: Sequence[int], full: int, deadline: float | None = None) -> int:
+    covered = count = scanned = 0
     while covered != full:
+        if deadline is not None and scanned >= 1024:
+            if time.monotonic() > deadline:
+                raise TimeBudgetExceeded(f"deadline hit after {count} greedy picks")
+            scanned = 0
+        scanned += len(closed)
         best_gain, best = -1, 0
         for row in closed:
             gain = (row & ~covered).bit_count()
@@ -138,7 +144,7 @@ def gamma_value(graph: Graph, *, deadline: float | None = None) -> int:
     if graph.order == 0:
         raise ValueError("domination number needs at least one vertex")
     closed, full = graph.closed_rows(), graph.full_mask
-    best = _greedy_cover_size(closed, full)
+    best = _greedy_cover_size(closed, full, deadline)
     while (cover := _cover_within(closed, full, best - 1, deadline)) is not None:
         best = cover.bit_count()
     return best
@@ -183,8 +189,7 @@ def _covers_in_lex_order(
             if not uncovered:
                 yield chosen
             return
-        if uncovered & ~reach[start]:
-            return
+        # uncovered lies inside reach[start]: reach[0] is full, and the loop keeps it so
         if uncovered.bit_count() > remaining * widest[start]:
             return
         for v in range(start, order - remaining + 1):

@@ -119,49 +119,47 @@ class InstanceSpec:
         return {"family": self.family, **params}
 
 
-@dataclass(frozen=True)
-class BuiltInstance:
-    graph: Graph
-    indexing: ProductIndexing | None = None
-    star: StarlikeSpec | None = None
+def _product_shape(spec: InstanceSpec) -> tuple[int, int, StarlikeSpec | None]:
+    """(m, order of T, T's starlike layout or None for a path) of the K_m x T
+    a generated spec names: a path is K_1 x P_n, a complete graph K_m x P_1."""
+    if spec.family == "km-starlike":
+        star = StarlikeSpec(spec.branches)
+        return spec.m, star.order, star
+    return spec.m or 1, spec.n or 1, None
 
 
-def build_instance(spec: InstanceSpec) -> BuiltInstance:
-    """The instance's graph; every generated family is built as K_m x T, a
-    path being K_1 x P_n and a complete graph K_m x P_1."""
+def build_instance(spec: InstanceSpec) -> Graph:
+    """The instance's graph: the parsed file, or K_m x T per ``_product_shape``."""
     if spec.family == "file":
-        return BuiltInstance(parse_graph_file(spec.path))
-    star = StarlikeSpec(spec.branches) if spec.family == "km-starlike" else None
-    right = path_graph(spec.n or 1) if star is None else starlike_tree(star)
-    graph, idx = strong_product(complete_graph(spec.m or 1), right)
-    return BuiltInstance(graph, idx, star)
+        return parse_graph_file(spec.path)
+    m, t, star = _product_shape(spec)
+    right = path_graph(t) if star is None else starlike_tree(star)
+    return strong_product(complete_graph(m), right)[0]
 
 
 def formula_value(spec: InstanceSpec, quantity: str) -> int | None:
     """Closed-form value for the instance, or None when no formula applies.
-    Paths and complete graphs take the K_m x P_n formulas, as in
-    ``build_instance``."""
+    Paths and complete graphs take the K_m x P_n formulas."""
     if quantity not in QUANTITIES:
         raise ValueError(f"unknown quantity {quantity!r}")
     if spec.family == "file":
         return None
-    if spec.family == "km-starlike":
-        star = StarlikeSpec(spec.branches)
+    m, t, star = _product_shape(spec)
+    if star is not None:
         if quantity == "gamma":
             return gamma_starlike(star)
         try:
-            return bondage_km_starlike(spec.m, star)
+            return bondage_km_starlike(m, star)
         except ValueError:
             return None
-    m, n = spec.m or 1, spec.n or 1
     if quantity == "gamma":
-        return gamma_km_pn(m, n)
-    if n == 1:
+        return gamma_km_pn(m, t)
+    if t == 1:
         return bondage_complete(m) if m >= 2 else None
-    return bondage_km_pn(m, n)
+    return bondage_km_pn(m, t)
 
 
-def prescribed_bondage_set(built: BuiltInstance) -> tuple[Edge, ...] | None:
+def prescribed_bondage_set(spec: InstanceSpec) -> tuple[Edge, ...] | None:
     """The family's constructive bondage set certifying the upper bound.
 
     One recipe over the columns of K_m x T: ``cover(h)`` touches every vertex
@@ -177,10 +175,10 @@ def prescribed_bondage_set(built: BuiltInstance) -> tuple[Edge, ...] | None:
     single-vertex left factor on a starlike product) and the caller should
     fall back to full search.
     """
-    idx, star = built.indexing, built.star
-    if idx is None:
+    if spec.family == "file":
         return None
-    m, t = idx.left_order, idx.right_order
+    m, t, star = _product_shape(spec)
+    idx = ProductIndexing(m, t)
 
     def cover(h: int) -> tuple[Edge, ...]:
         col = idx.column(h)
@@ -294,17 +292,14 @@ def verify_instance(
     method, note, match, skipped = "exact-search", "", False, False
     try:
         formula = formula_value(spec, quantity)
-        built = build_instance(spec)
+        graph = build_instance(spec)
         if quantity == "gamma":
-            result = domination_number(built.graph, deadline=deadline)
+            result = domination_number(graph, deadline=deadline)
             computed, witness = result.value, result.witness
         else:
-            graph = built.graph
             if not graph.edges():
                 raise ValueError(f"{spec.label()} has no edges; bondage is undefined")
-            prescribed = None
-            if not full_search and formula is not None:
-                prescribed = prescribed_bondage_set(built)
+            prescribed = None if full_search or formula is None else prescribed_bondage_set(spec)
             if prescribed is not None:
                 method = "witness+refutation"
                 gamma = gamma_value(graph, deadline=deadline)  # once, for both sides

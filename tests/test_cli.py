@@ -59,6 +59,7 @@ def test_bondage_command(capsys):
             '{"instance": {"family": "km-pn", "m": 2, "n": 4}, "bondage": 3, '
             '"witness": [[0, 1], [0, 4], [0, 5]]}\n',
         ),
+        (("gamma", "--family", "complete", "--m", "3"), "gamma(complete(m=3)) = 1\nwitness: [0]\n"),
     ],
 )
 def test_value_command_output_is_pinned(capsys, argv, expected):

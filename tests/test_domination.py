@@ -196,6 +196,16 @@ def test_passed_deadline_stops_the_cover_search_on_entry():
         _cover_within(g.closed_rows(), g.full_mask, 1, time.monotonic() - 1)
 
 
+def test_deadline_stops_the_greedy_pass_between_picks():
+    # K_2 x P_512 has 1,024 vertices, so the greedy pass reads the clock
+    # before each pick after the first; read 2 is past the deadline
+    prod, _ = strong_product(complete_graph(2), path_graph(512))
+    with ticking_time() as clock:
+        with pytest.raises(TimeBudgetExceeded, match="^deadline hit after 2 greedy picks$"):
+            gamma_value(prod, deadline=1)
+    assert clock.ticks == 2
+
+
 def test_deadline_stops_the_cover_search_inside():
     # refuting a cover of size 9 on the 6 x 6 grid (gamma 10) reads the clock
     # 28 times: once on entry, then every 1,024 branching nodes

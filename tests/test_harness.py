@@ -13,6 +13,7 @@ from strongdom.bondage import is_bondage_set
 from strongdom.domination import _covers_in_lex_order, gamma_value
 from strongdom.graphs import (
     GraphTextError,
+    ProductIndexing,
     complete_graph,
     parse_graph_file,
     path_graph,
@@ -62,6 +63,8 @@ def test_instance_spec_validation():
     for branches in ((0, 1), (2, -1), ()):
         with pytest.raises(ValueError, match="branch"):
             InstanceSpec("km-starlike", m=2, branches=branches)
+    with pytest.raises(ValueError, match="complete needs m >= 1"):
+        InstanceSpec("complete", m=0)
     with pytest.raises(ValueError):
         InstanceSpec("file")
     with pytest.raises(ValueError):
@@ -101,6 +104,9 @@ def test_verify_bondage_example():
 def test_verify_gamma_example():
     entry = verify_instance(InstanceSpec("km-pn", m=3, n=7), "gamma")
     assert entry.formula_value == 3 and entry.computed_value == 3 and entry.match
+    # a starlike product takes its tree's value, 2 here, not the path's 3 on 7 columns
+    entry = verify_instance(InstanceSpec("km-starlike", m=2, branches=(1, 1, 4)), "gamma")
+    assert entry.formula_value == 2 and entry.computed_value == 2 and entry.match
 
 
 def test_verify_file_graph_bondage(tmp_path):
@@ -175,17 +181,17 @@ def test_prescribed_bondage_sets_certify_every_family():
     uniform += [(4, 1, 4), (5, 2), (6, 3, 3)]
     specs += [InstanceSpec("km-starlike", m=m, branches=b) for m in (1, 2, 3) for b in uniform]
     for spec in specs:
-        built = build_instance(spec)
+        graph = build_instance(spec)
         formula = formula_value(spec, "bondage")
-        prescribed = prescribed_bondage_set(built)
+        prescribed = prescribed_bondage_set(spec)
         starlike_k1 = spec.family == "km-starlike" and spec.m == 1
         assert (prescribed is None) == (formula is None or starlike_k1), spec
         if prescribed is None:
             continue
         assert len(prescribed) == formula, spec
-        assert is_bondage_set(built.graph, prescribed), spec
+        assert is_bondage_set(graph, prescribed), spec
         if spec.family == "km-pn" and spec.m >= 2:
-            idx = built.indexing
+            idx = ProductIndexing(spec.m, spec.n)
             n = idx.right_order
             cover = [e for e in prescribed if e[0] % n == e[1] % n]
             rungs = [e for e in prescribed if e[0] % n != e[1] % n]
@@ -253,6 +259,19 @@ def test_sweep_shape_and_matches():
 def test_sweep_rejects_empty_range():
     with pytest.raises(ValueError):
         sweep([], "gamma")
+
+
+@pytest.mark.parametrize(
+    "check",
+    [
+        lambda: verify_instance(InstanceSpec("km-pn", m=2, n=3), "girth"),
+        lambda: sweep(km_pn_instances([2], [3]), "girth"),
+    ],
+    ids=["verify_instance", "sweep"],
+)
+def test_unknown_quantity_is_rejected(check):
+    with pytest.raises(ValueError, match="^unknown quantity 'girth'$"):
+        check()
 
 
 @pytest.mark.parametrize("jobs", [0, -3])
@@ -376,6 +395,25 @@ def test_mds_violation_records_carry_the_vector_weight():
         assert entries[name].match and entries[name].computed_value == 0
 
 
+def test_mds_violation_records_name_each_broken_bound():
+    # on m = 3, n = 4 the three vectors break, in turn, the one-per-column
+    # rule, the prefix bound at 1..2 and the suffix bound at 3..4
+    vectors = [[0, 2, 1, 0], [0, 0, 1, 0], [0, 1, 0, 0]]
+    with patch.object(harness, "_column_counts", lambda m, n: vectors):
+        entries = {e.quantity: e for e in mds_structure_entries(3, 4)}
+    multiplicity = entries["mds:column-multiplicity"]
+    assert not multiplicity.match and multiplicity.computed_value == 9
+    assert multiplicity.witness == [
+        {"columns": [0, 2, 1, 0], "sets": 9, "detail": "column counts [0, 2, 1, 0]"}
+    ]
+    bounds = entries["mds:prefix-suffix-bound"]
+    assert not bounds.match and bounds.computed_value == 6
+    assert bounds.witness == [
+        {"columns": [0, 0, 1, 0], "sets": 3, "detail": "prefix 1..2 below 1"},
+        {"columns": [0, 1, 0, 0], "sets": 3, "detail": "suffix 3..4 below 1"},
+    ]
+
+
 def test_emit_report_empty():
     report = Report({"quantity": "gamma"}, (), 0.0)
     payload = json.loads(emit_report(report, "json"))
@@ -418,4 +456,5 @@ def test_entry_json_uses_na_for_missing_formula(tmp_path):
     target.write_text("2\n0 1\n")
     entry = verify_instance(InstanceSpec("file", path=str(target)), "gamma")
     assert entry.as_dict()["formula_value"] == "n/a"
+    assert entry.instance.label() == f"file({target})"
     assert entry.match
