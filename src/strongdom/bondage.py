@@ -177,24 +177,15 @@ def _twin_classes(rows: Sequence[int]) -> Iterable[list[int]]:
 
 
 def _onto_last_twins(dmask: int, rows: Sequence[int]) -> int:
-    """``dmask`` with the vertices it holds in each twin class of ``rows``
-    moved onto that class's last vertices.  A swap of closed twins is an
-    automorphism, so the moved set dominates wherever ``dmask`` did.  Closed
-    twins are adjacent, so the class of a vertex ``x`` is read off its own
-    row: the ``y`` in ``rows[x]`` with ``rows[y] == rows[x]``."""
+    """``dmask`` with its vertices in each twin class of ``rows`` moved onto
+    the class's last ones: a swap of closed twins is an automorphism."""
     moved = 0
-    left = dmask
-    while left:
-        row = rows[(left & -left).bit_length() - 1]
-        twins = 0
-        for y in iter_bits(row):
-            if rows[y] == row:
-                twins |= 1 << y
-        left &= ~twins
-        for _ in range((dmask & twins).bit_count()):
-            last = 1 << twins.bit_length() - 1
-            moved |= last
-            twins ^= last
+    for members in _twin_classes(rows):
+        last = len(members)
+        for v in members:  # each vertex held takes the class's next from the end
+            if dmask >> v & 1:
+                last -= 1
+                moved |= 1 << members[last]
     return moved
 
 

@@ -24,7 +24,7 @@ import json
 import time
 from dataclasses import dataclass
 from functools import partial
-from itertools import combinations_with_replacement
+from itertools import accumulate, combinations_with_replacement
 from math import comb, prod
 from typing import Iterable, Iterator, Sequence
 
@@ -32,7 +32,6 @@ from ._version import __version__
 from .bondage import bondage_number, find_bondage_set_up_to, is_bondage_set
 from .domination import TimeBudgetExceeded, _deadline, domination_number, gamma_value
 from .formulas import (
-    _ceil3,
     bondage_complete,
     bondage_km_pn,
     bondage_km_starlike,
@@ -59,6 +58,8 @@ _PARAMETERS = {
     "complete": ("m",),
     "file": ("path",),
 }
+# every parameter a family takes is required; how a missing one is named
+_NEEDS = {"m": "m >= 1", "n": "n >= 1", "branches": "a branch list", "path": "a path"}
 FAMILIES = tuple(_PARAMETERS)
 QUANTITIES = ("gamma", "bondage")
 
@@ -77,42 +78,27 @@ class InstanceSpec:
         if self.family not in FAMILIES:
             raise ValueError(f"unknown family {self.family!r}")
         taken = _PARAMETERS[self.family]
-        stray = [
-            name
-            for name in ("m", "n", "branches", "path")
-            if name not in taken and getattr(self, name) is not None
-        ]
+        stray = [name for name in _NEEDS if name not in taken and getattr(self, name) is not None]
         if stray:
             raise ValueError(
                 f"{self.family} takes only {' and '.join(taken)}, not {', '.join(stray)}"
             )
         if self.branches is not None:
             object.__setattr__(self, "branches", StarlikeSpec(self.branches).branches)
-        if self.family == "km-pn" and ((self.m or 0) < 1 or (self.n or 0) < 1):
-            raise ValueError("km-pn needs m >= 1 and n >= 1")
-        if self.family == "km-starlike":
-            if (self.m or 0) < 1 or not self.branches:
-                raise ValueError("km-starlike needs m >= 1 and a branch list")
-        if self.family == "path" and (self.n or 0) < 1:
-            raise ValueError("path needs n >= 1")
-        if self.family == "complete" and (self.m or 0) < 1:
-            raise ValueError("complete needs m >= 1")
-        if self.family == "file" and not self.path:
-            raise ValueError("file instances need a path")
+        for name in taken:
+            value = getattr(self, name)
+            if not value or name in ("m", "n") and value < 1:
+                raise ValueError(f"{self.family} needs {' and '.join(_NEEDS[p] for p in taken)}")
 
     def sort_key(self):
         return (self.family, self.m or 0, self.n or 0, self.branches or (), self.path or "")
 
     def label(self) -> str:
-        if self.family == "km-pn":
-            return f"km-pn(m={self.m},n={self.n})"
-        if self.family == "km-starlike":
-            return f"km-starlike(m={self.m},branches={','.join(map(str, self.branches))})"
-        if self.family == "path":
-            return f"path(n={self.n})"
-        if self.family == "complete":
-            return f"complete(m={self.m})"
-        return f"file({self.path})"
+        if self.family == "file":
+            return f"file({self.path})"
+        shown = {"branches": ",".join(map(str, self.branches or ()))}
+        args = ",".join(f"{p}={shown.get(p, getattr(self, p))}" for p in _PARAMETERS[self.family])
+        return f"{self.family}({args})"
 
     def as_dict(self) -> dict:
         params = {name: getattr(self, name) for name in _PARAMETERS[self.family]}
@@ -282,7 +268,8 @@ def verify_instance(
     the full exact search runs instead.  A budget overrun yields a skipped
     entry, never a silent pass; any other failure yields an error entry
     that keeps the formula value and the time spent.  Only the arguments
-    themselves (an unknown quantity, a budget <= 0) raise.
+    themselves (an unknown quantity, a budget <= 0) raise.  The budget's
+    clock starts before the product is built, but only a search reads it.
     """
     if quantity not in QUANTITIES:
         raise ValueError(f"unknown quantity {quantity!r}")
@@ -393,6 +380,15 @@ def starlike_branch_multisets(
     ]
 
 
+# the structure lemmas mds_structure_entries audits, in report order
+_MDS_CHECKS = (
+    "mds:column-multiplicity",
+    "mds:end-pair",
+    "mds:prefix-suffix-bound",
+    "mds:forbidden-columns",
+)
+
+
 def _column_counts(m: int, n: int) -> Iterator[list[int]]:
     """Yield the column-count vectors of the minimum dominating sets of
     K_m x P_n, in lexicographic order, one at a time.  A vertex is adjacent
@@ -440,75 +436,61 @@ def mds_structure_entries(m: int, n: int) -> list[ReportEntry]:
     """Audit every minimum dominating set of the product of a complete graph
     with a path against the per-column structure each one must have.
 
-    Checks, per set D and with 1-based columns: at most one vertex per
-    column; exactly one vertex over each end pendant pair; the prefix
-    (suffix) of the first i (last n-j+1) columns holds at least the
+    Checks, in ``_MDS_CHECKS`` order, per set D with 1-based columns: at
+    most one vertex per column; exactly one over each end pendant pair; the
+    prefix (suffix) of the first i (last n-j+1) columns holds at least the
     domination number of the one-shorter prefix (suffix); and the columns
-    forced empty by the residue of n are empty.  The checks read only the
-    column counts, so they run once per vector of ``_column_counts``, as
-    each is found, and no vector is kept past its audit except in a
-    violation record, which holds the vector, its number of sets and a
-    detail.
+    forced empty by the residue of n are empty.  They read only column
+    counts, so they run once per vector of ``_column_counts``, as it is
+    found.  A vector outlives its audit only in a violation record, one per
+    broken check: the vector, its number of sets and the check's details
+    joined by "; ".
     """
     spec = InstanceSpec("km-pn", m=m, n=n)
     start = time.monotonic()
     empty = {0: (0, 1), 1: (), 2: (0,)}[n % 3]  # residues of the columns forced empty
     forbidden_cols = [i for i in range(1, n + 1) if i % 3 in empty]
-
-    col_mult: list[dict] = []
-    end_pair: list[dict] = []
-    prefix_suffix: list[dict] = []
-    forbidden: list[dict] = []
+    violations: list[list[dict]] = [[], [], [], []]  # per check, in _MDS_CHECKS order
     total = 0
     for counts in _column_counts(m, n):  # each vector is audited as it is found
         sets = prod(comb(m, c) for c in counts)
         total += sets
-        base = {"columns": counts, "sets": sets}
-        if any(c > 1 for c in counts):
-            col_mult.append({**base, "detail": f"column counts {counts}"})
-        if n >= 2:
-            first = counts[0] + counts[1]
-            last = counts[n - 2] + counts[n - 1]
-            if first != 1 or last != 1:
-                end_pair.append({**base, "detail": f"end pair counts {first} and {last}"})
-        acc = [0] * (n + 1)
-        for i in range(n):
-            acc[i + 1] = acc[i] + counts[i]
-        for i in range(2, n + 1):  # columns 1..i hold at least the value for 1..i-1
-            if acc[i] < _ceil3(i - 1):
-                prefix_suffix.append({**base, "detail": f"prefix 1..{i} below {_ceil3(i - 1)}"})
-        for j in range(1, n):  # columns j..n hold at least the value for j+1..n
-            if acc[n] - acc[j - 1] < _ceil3(n - j):
-                prefix_suffix.append({**base, "detail": f"suffix {j}..{n} below {_ceil3(n - j)}"})
-        for i in forbidden_cols:
-            if counts[i - 1]:
-                forbidden.append({**base, "detail": f"column {i} not empty"})
+        head = list(accumulate(counts, initial=0))  # head[i]: columns 1..i
+        ends = (head[2], head[n] - head[n - 2]) if n >= 2 else (1, 1)
+        bounds = []  # the first and the last i columns hold at least ceil((i - 1) / 3)
+        for i in range(2, n + 1):
+            if head[i] < (i + 1) // 3:
+                bounds.append(f"prefix 1..{i} below {(i + 1) // 3}")
+        for i in range(n, 1, -1):
+            if head[n] - head[n - i] < (i + 1) // 3:
+                bounds.append(f"suffix {n + 1 - i}..{n} below {(i + 1) // 3}")
+        failures = (  # per check, in _MDS_CHECKS order, the bounds the vector breaks
+            [f"column counts {counts}"] if max(counts) > 1 else (),
+            [f"end pair counts {ends[0]} and {ends[1]}"] if ends != (1, 1) else (),
+            bounds,
+            [f"column {i} not empty" for i in forbidden_cols if counts[i - 1]],
+        )
+        if any(failures):
+            for found, details in zip(violations, failures):
+                if details:
+                    found.append({"columns": counts, "sets": sets, "detail": "; ".join(details)})
     elapsed = (time.monotonic() - start) * 1000.0
     audited = f"{total} minimum dominating sets audited"
-    checks = [
-        ("mds:column-multiplicity", col_mult, audited),
-        ("mds:end-pair", end_pair, audited),
-        ("mds:prefix-suffix-bound", prefix_suffix, audited),
-        (
-            "mds:forbidden-columns",
-            forbidden,
-            audited if forbidden_cols else audited + "; vacuous for this residue",
-        ),
-    ]
+    vacuous = "" if forbidden_cols else "; vacuous for this residue"
     return [
         ReportEntry(
             instance=spec,
             quantity=name,
             formula_value=0,
-            computed_value=sum(v["sets"] for v in violations),
+            computed_value=sum(v["sets"] for v in found),
             method="mds-enumeration",
-            match=not violations,
+            match=not found,
             skipped=False,
-            note=note,
+            note=audited + vacuous if name == "mds:forbidden-columns" else audited,
             elapsed_ms=elapsed,
-            witness=violations,
+            witness=found,
         )
-        for name, violations, note in checks
+        for name, found in zip(_MDS_CHECKS, violations)
     ]
 
 

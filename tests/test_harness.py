@@ -63,10 +63,24 @@ def test_instance_spec_validation():
     for branches in ((0, 1), (2, -1), ()):
         with pytest.raises(ValueError, match="branch"):
             InstanceSpec("km-starlike", m=2, branches=branches)
-    with pytest.raises(ValueError, match="complete needs m >= 1"):
-        InstanceSpec("complete", m=0)
-    with pytest.raises(ValueError):
-        InstanceSpec("file")
+    # every parameter a family takes is required, and the message names them all
+    for family, params, message in (
+        ("km-pn", {"m": 2}, "km-pn needs m >= 1 and n >= 1"),
+        ("km-starlike", {"branches": (1, 2)}, "km-starlike needs m >= 1 and a branch list"),
+        ("path", {"n": 0}, "path needs n >= 1"),
+        ("complete", {"m": 0}, "complete needs m >= 1"),
+        ("file", {}, "file needs a path"),
+    ):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            InstanceSpec(family, **params)
+    for spec, label in (
+        (InstanceSpec("km-pn", m=2, n=3), "km-pn(m=2,n=3)"),
+        (InstanceSpec("km-starlike", m=2, branches=(1, 2)), "km-starlike(m=2,branches=1,2)"),
+        (InstanceSpec("path", n=4), "path(n=4)"),
+        (InstanceSpec("complete", m=3), "complete(m=3)"),
+        (InstanceSpec("file", path="x.graph"), "file(x.graph)"),
+    ):
+        assert spec.label() == label
     with pytest.raises(ValueError):
         InstanceSpec("lattice", m=2, n=2)
     # a parameter outside the family's own set
@@ -412,6 +426,12 @@ def test_mds_violation_records_name_each_broken_bound():
         {"columns": [0, 0, 1, 0], "sets": 3, "detail": "prefix 1..2 below 1"},
         {"columns": [0, 1, 0, 0], "sets": 3, "detail": "suffix 3..4 below 1"},
     ]
+    # a vector that breaks one check twice is one record, its sets counted once
+    with patch.object(harness, "_column_counts", lambda m, n: [[0, 0, 0, 1]]):
+        bounds = {e.quantity: e for e in mds_structure_entries(3, 4)}["mds:prefix-suffix-bound"]
+    assert bounds.computed_value == 3
+    detail = "prefix 1..2 below 1; prefix 1..3 below 1"
+    assert bounds.witness == [{"columns": [0, 0, 0, 1], "sets": 3, "detail": detail}]
 
 
 def test_emit_report_empty():
