@@ -32,6 +32,11 @@ class Graph:
 
     Immutable after construction; every operation in this module returns a
     fresh value, so graphs can be shared freely between threads or processes.
+
+    Construction checks every row's range and self-loop bit, then symmetry,
+    visiting each edge once: row v tests each bit u above v against row u and
+    records v in ``mirrored[u]``, so row v's bits below v must equal
+    ``mirrored[v]``.  The first asymmetric pair in row order is reported.
     """
 
     order: int
@@ -40,18 +45,29 @@ class Graph:
     def __post_init__(self) -> None:
         if self.order < 0:
             raise ValueError("order must be non-negative")
-        if len(self.rows) != self.order:
+        rows = self.rows
+        if len(rows) != self.order:
             raise ValueError("adjacency needs exactly one bit row per vertex")
         width = (1 << self.order) - 1
-        for v, row in enumerate(self.rows):
+        for v, row in enumerate(rows):
             if row & ~width:
                 raise ValueError(f"row {v} has bits outside 0..{self.order - 1}")
             if row >> v & 1:
                 raise ValueError(f"self-loop at vertex {v}")
-        for v, row in enumerate(self.rows):
-            for u in iter_bits(row):
-                if not self.rows[u] >> v & 1:
+        mirrored = [0] * self.order  # mirrored[u]: the rows v < u that hold u, each checked
+        bit = 1
+        for v, row in enumerate(rows):
+            # row v's bits below v that no earlier row mirrors (each one is
+            # asymmetric), then its bits above v, each tested against its row
+            rest = ((row & (bit - 1)) ^ mirrored[v]) | (row & -bit)
+            while rest:
+                low = rest & -rest
+                u = low.bit_length() - 1
+                if not rows[u] & bit:
                     raise ValueError(f"adjacency not symmetric at {u}-{v}")
+                mirrored[u] |= bit
+                rest ^= low
+            bit <<= 1
 
     @classmethod
     def from_edges(cls, order: int, edges: Iterable[tuple[int, int]]) -> "Graph":
@@ -78,9 +94,12 @@ class Graph:
     def edges(self) -> tuple[Edge, ...]:
         """All edges as (u, v) with u < v, sorted by (min endpoint, max endpoint)."""
         out: list[Edge] = []
-        for u in range(self.order):
-            above = self.rows[u] >> (u + 1) << (u + 1)
-            out.extend((u, v) for v in iter_bits(above))
+        for u, row in enumerate(self.rows):
+            above = row >> (u + 1) << (u + 1)
+            while above:
+                low = above & -above
+                out.append((u, low.bit_length() - 1))
+                above ^= low
         return tuple(out)
 
 
@@ -96,15 +115,8 @@ def path_graph(n: int) -> Graph:
     """Path 0-1-...-(n-1)."""
     if n < 1:
         raise ValueError("a path needs at least one vertex")
-    rows = []
-    for v in range(n):
-        row = 0
-        if v > 0:
-            row |= 1 << (v - 1)
-        if v < n - 1:
-            row |= 1 << (v + 1)
-        rows.append(row)
-    return Graph(n, tuple(rows))
+    full = (1 << n) - 1
+    return Graph(n, tuple(0b101 << v >> 1 & full for v in range(n)))  # bits v - 1, v + 1
 
 
 @dataclass(frozen=True)
@@ -200,20 +212,28 @@ def strong_product(left: Graph, right: Graph) -> tuple[Graph, ProductIndexing]:
     (g1, h1) ~ (g2, h2) iff the coordinates are equal or adjacent in their
     factors, and the two vertices are distinct.  Returns the graph together
     with the indexing used to lay out the vertex pairs.
+
+    The closed row of (g, h) is right's closed row of h times the mask with
+    bit g2 * n for each g2 in g's closed row.  Left vertices with equal closed
+    rows share that block of n rows, built once (K_m has one); each vertex
+    then clears its own bit.
     """
     if left.order == 0 or right.order == 0:
         raise ValueError("strong product needs non-empty factors")
     idx = ProductIndexing(left.order, right.order)
     n = right.order
     right_closed = right.closed_rows()
+    blocks: dict[int, list[int]] = {}
     rows: list[int] = []
-    for g in range(left.order):
-        g_closed = left.rows[g] | (1 << g)
-        for h in range(n):
-            row = 0
-            for g2 in iter_bits(g_closed):
-                row |= right_closed[h] << (g2 * n)
-            rows.append(row & ~(1 << (g * n + h)))
+    own = 1  # bit g * n + h of the vertex whose row comes next
+    for g_closed in left.closed_rows():
+        block = blocks.get(g_closed)
+        if block is None:
+            slots = sum(1 << g2 * n for g2 in iter_bits(g_closed))
+            block = blocks[g_closed] = [closed * slots for closed in right_closed]
+        for closed in block:
+            rows.append(closed ^ own)
+            own <<= 1
     return Graph(idx.order, tuple(rows)), idx
 
 

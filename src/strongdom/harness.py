@@ -284,7 +284,7 @@ def verify_instance(
             result = domination_number(graph, deadline=deadline)
             computed, witness = result.value, result.witness
         else:
-            if not graph.edges():
+            if not any(graph.rows):
                 raise ValueError(f"{spec.label()} has no edges; bondage is undefined")
             prescribed = None if full_search or formula is None else prescribed_bondage_set(spec)
             if prescribed is not None:
@@ -461,7 +461,7 @@ def mds_structure_entries(m: int, n: int) -> list[ReportEntry]:
         for i in range(2, n + 1):
             if head[i] < (i + 1) // 3:
                 bounds.append(f"prefix 1..{i} below {(i + 1) // 3}")
-        for i in range(n, 1, -1):
+        for i in range(n - 1, 1, -1):  # the suffix of all n columns is the prefix 1..n
             if head[n] - head[n - i] < (i + 1) // 3:
                 bounds.append(f"suffix {n + 1 - i}..{n} below {(i + 1) // 3}")
         failures = (  # per check, in _MDS_CHECKS order, the bounds the vector breaks

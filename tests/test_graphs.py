@@ -16,6 +16,7 @@ from strongdom.graphs import (
 )
 
 from brute import strong_product_edge_count
+from reference_graph import check_rows, reference_edges, reference_strong_product
 
 
 @st.composite
@@ -49,15 +50,99 @@ def test_path_graph_examples():
         path_graph(0)
 
 
+# (order, rows, the exact message of the ValueError)
+INVALID_ROWS = [
+    (-1, (), "order must be non-negative"),
+    (2, (0b10,), "adjacency needs exactly one bit row per vertex"),
+    (2, (0b01, 0b10), "self-loop at vertex 0"),
+    (1, (0b10,), "row 0 has bits outside 0..0"),
+    (2, (0b10, 0b00), "adjacency not symmetric at 1-0"),
+    # a bit below the diagonal with no mirror above it
+    (2, (0b00, 0b01), "adjacency not symmetric at 0-1"),
+    # in one row, the unmirrored bit below v comes before the one above
+    (4, (0b0000, 0b0000, 0b1001, 0b0000), "adjacency not symmetric at 0-2"),
+    (3, (0b110, 0b101, 0b001), "adjacency not symmetric at 2-1"),
+    # every row's range and self-loop bit is checked before any symmetry
+    (3, (0b010, 0b000, 0b1000), "row 2 has bits outside 0..2"),
+    (3, (0b010, 0b000, 0b100), "self-loop at vertex 2"),
+]
+
+
 def test_graph_validation():
-    with pytest.raises(ValueError):
-        Graph(2, (0b10,))  # row count mismatch
-    with pytest.raises(ValueError):
-        Graph(2, (0b01, 0b10))  # self-loops
-    with pytest.raises(ValueError):
-        Graph(2, (0b10, 0b00))  # asymmetric
-    with pytest.raises(ValueError):
-        Graph(1, (0b10,))  # bits beyond order
+    for order, rows, message in INVALID_ROWS:
+        with pytest.raises(ValueError) as err:
+            Graph(order, rows)
+        assert str(err.value) == message, (order, rows)
+
+
+@st.composite
+def row_tuples(draw, max_order=8):
+    """A symmetric row tuple with a few bits flipped, set on the diagonal or
+    set past the last vertex, so that every check of ``Graph`` can fire."""
+    order = draw(st.integers(0, max_order))
+    rows = [0] * order
+    for u in range(order):
+        for v in range(u + 1, order):
+            if draw(st.booleans()):
+                rows[u] |= 1 << v
+                rows[v] |= 1 << u
+    if order:
+        vertex = st.integers(0, order - 1)
+        kinds = st.sampled_from("fffso")  # flip an off-diagonal bit, self-loop, out of range
+        for kind, v in draw(st.lists(st.tuples(kinds, vertex), max_size=3)):
+            if kind == "s":
+                rows[v] |= 1 << v
+            elif kind == "o":
+                rows[v] |= 1 << (order + draw(st.integers(0, 2)))
+            elif order > 1:
+                rows[v] ^= 1 << (v + draw(st.integers(1, order - 1))) % order
+    return order, tuple(rows)
+
+
+def _outcome(build, order, rows):
+    try:
+        build(order, rows)
+    except ValueError as err:
+        return str(err)
+    return None
+
+
+@given(row_tuples())
+@settings(max_examples=400)
+def test_graph_checks_rows_like_the_reference(case):
+    order, rows = case
+    assert _outcome(Graph, order, rows) == _outcome(check_rows, order, rows)
+
+
+@given(graphs(min_order=0, max_order=9))
+def test_edges_match_the_reference(g):
+    assert g.edges() == reference_edges(g.rows)
+
+
+@st.composite
+def twin_factors(draw):
+    """A non-complete graph in which some vertices are closed twins: classes
+    0 and 1 of a quotient graph are never adjacent, and each class of 1 to 3
+    vertices is a clique joined to every vertex of each adjacent class."""
+    sizes = draw(st.lists(st.integers(1, 3), min_size=2, max_size=4))
+    pairs = [(a, b) for b in range(2, len(sizes)) for a in range(b)]  # all but (0, 1)
+    joined = set(draw(st.lists(st.sampled_from(pairs), unique=True))) if pairs else set()
+    cls = [c for c, size in enumerate(sizes) for _ in range(size)]
+    edges = [
+        (u, v)
+        for u in range(len(cls))
+        for v in range(u + 1, len(cls))
+        if cls[u] == cls[v] or (cls[u], cls[v]) in joined
+    ]
+    perm = draw(st.permutations(range(len(cls))))
+    return Graph.from_edges(len(cls), [(perm[u], perm[v]) for u, v in edges])
+
+
+@given(twin_factors(), graphs(max_order=5))
+@settings(max_examples=150)
+def test_strong_product_matches_the_definition(left, right):
+    prod, _ = strong_product(left, right)
+    assert prod.rows == reference_strong_product(left.rows, right.rows)
 
 
 def test_starlike_spec_labels():

@@ -432,6 +432,12 @@ def test_mds_violation_records_name_each_broken_bound():
     assert bounds.computed_value == 3
     detail = "prefix 1..2 below 1; prefix 1..3 below 1"
     assert bounds.witness == [{"columns": [0, 0, 0, 1], "sets": 3, "detail": detail}]
+    # the span of all n columns is checked once, as a prefix
+    with patch.object(harness, "_column_counts", lambda m, n: [[0, 0, 0, 0]]):
+        bounds = {e.quantity: e for e in mds_structure_entries(2, 4)}["mds:prefix-suffix-bound"]
+    detail = bounds.witness[0]["detail"].split("; ")
+    assert detail.count("prefix 1..4 below 1") == 1
+    assert not any(d.startswith("suffix 1..") for d in detail)
 
 
 def test_emit_report_empty():
