@@ -1,18 +1,23 @@
-"""Exact bondage numbers by iterative-deepening edge-subset search.  The
-constructive edge sets that certify the paper's upper bounds are built by
+"""Exact bondage numbers by edge-subset search.  The constructive edge sets
+that certify the paper's upper bounds are built by
 ``harness.prescribed_bondage_set``.
 
-Each size is scanned once, in lexicographic order of edge indices, over
-only the leaders: the edge sets every prefix of which touches a prefix of
-every closed-twin class (closed twins are vertices with equal closed
+A refutation of every size up to k is one scan, of size k alone: removing
+edges never lowers the domination number, so a bondage set extends to one
+of every larger size (Fink, Jacobson, Kinch and Roberts, Discrete Math. 86,
+1990), and a size with none refutes every smaller size.  Only when size k
+holds one are the smaller sizes scanned, in increasing order, for the least.
+A size is scanned in lexicographic order of edge indices, over only the
+leaders: the edge sets every prefix of which touches a prefix of every
+closed-twin class (closed twins are vertices with equal closed
 neighbourhoods; in K_m x T each column is one class), and is mapped to no
 smaller set by the mirror, one fixed automorphism (on K_m x P_n the path
 reflection; the identity where the vertex reversal is no automorphism).
 The least member of every symmetry class of edge sets under twin swaps and
 the mirror is a leader, as in orderly generation and isomorph rejection
-(Read, Ann. Discrete Math. 2, 1978; McKay, J. Algorithms 26, 1998), so each
-size is refuted exhaustively and the first bondage set met is the
-lexicographically least of the least size.
+(Read, Ann. Discrete Math. 2, 1978; McKay, J. Algorithms 26, 1998), so a
+scan refutes its size exhaustively, and the first bondage set it meets is
+the lexicographically least of that size.
 
 The search keeps a pool of minimum dominating sets of the intact graph.  Any
 candidate edge set that leaves some pool member dominating cannot have raised
@@ -52,11 +57,10 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from itertools import chain
 from typing import Iterable, Iterator, Sequence
 
 from .domination import TimeBudgetExceeded, _check_entry, _cover_within, gamma_value
-from .graphs import Edge, Graph, iter_bits, remove_edges
+from .graphs import Edge, Graph, _cut_edges, iter_bits
 
 
 @dataclass(frozen=True)
@@ -74,10 +78,12 @@ def is_bondage_set(
 ) -> bool:
     """True iff removing ``edges`` strictly raises the domination number.
 
+    The edges are cut out of the closed rows of ``graph``, with no new
+    ``Graph`` built; a non-edge is rejected as by ``graphs.remove_edges``.
     ``deadline`` and ``gamma`` are as in ``find_bondage_set_up_to``; both
     searches check the deadline.
     """
-    damaged = remove_edges(graph, edges).closed_rows()
+    damaged = _cut_edges(graph, graph.closed_rows(), edges)
     if gamma is None:
         gamma = gamma_value(graph, deadline=deadline)
     return _cover_within(damaged, graph.full_mask, gamma, deadline) is None
@@ -476,10 +482,19 @@ def find_bondage_set_up_to(
     """Smallest (then lexicographically least) bondage set of size <= k, or
     None once every size up to k has been refuted.
 
-    The sizes are scanned in turn, each in lexicographic order of edge
-    indices, over the leaders (``_sets_touching_pool``): the sets every
-    prefix P of which touches a prefix of every closed-twin class and has
-    ``g(P) >= P`` for the mirror ``g`` (``_scan_tables``).  Twin swaps and
+    Size ``top = min(k, |E|)`` is scanned first.  Removing edges never
+    lowers the domination number, so a bondage set B of a smaller size,
+    with any ``top - |B|`` further edges, is a bondage set of size ``top``;
+    a top-size scan that meets none therefore refutes every size up to k,
+    and None is returned after that one scan.  If it meets one, sizes 1 to
+    ``top - 1`` are scanned in turn, and the first bondage set met (else the
+    top-size one) is the witness.  With k = |E| (``bondage_number``), the
+    first scan is of the one set of every edge.
+
+    Each size is scanned in lexicographic order of edge indices, over the
+    leaders (``_sets_touching_pool``): the sets every prefix P of which
+    touches a prefix of every closed-twin class and has ``g(P) >= P`` for
+    the mirror ``g`` (``_scan_tables``).  Twin swaps and
     ``g`` are automorphisms, which preserve the domination number of G - B,
     so it is enough to scan the least set of every symmetry class, and that
     set is a leader.  Squeezing a set's touched members of each class onto
@@ -491,7 +506,8 @@ def find_bondage_set_up_to(
     a set B to a smaller set, let x be the least edge of h(P) or P but not
     both; it lies in h(P), every edge of B below x lies in P and so in h(B),
     and x is not in B, so h(B) < B.  As the least bondage set of a size is
-    the least of its class, the first bondage set met is the witness.
+    the least of its class, the first bondage set a scan meets is the least
+    of its size.
 
     The scan skips in bulk the sets that miss some pool member, which still
     dominates after such a removal, so only the sets that touch every member
@@ -530,36 +546,44 @@ def find_bondage_set_up_to(
     tables = _scan_tables(closed, edges, pool.incident)
     pool.add(_onto_last_twins(_cover_within(closed, full, gamma, deadline), closed))
     survives = pool.some_member_survives
-    scan = chain.from_iterable(
-        _sets_touching_pool(pool, tables, size, deadline)
-        for size in range(1, min(k, len(edges)) + 1)
-    )
-    for combo in scan:
-        damaged = closed.copy()
-        for e in combo:
-            u, v = edges[e]
-            damaged[u] &= ~(1 << v)
-            damaged[v] &= ~(1 << u)
-        if survives(damaged, full):
-            continue
-        cover = pool.repair(damaged, full)
-        if cover is None:  # no one-vertex swap of a member works; ask the exact solver
-            cover = _cover_within(damaged, full, gamma, deadline)
-            if cover is None:
-                return tuple(edges[e] for e in combo)
-        pool.add(_onto_last_twins(cover, damaged))
-    return None
+
+    def least_of_size(size: int) -> tuple[Edge, ...] | None:
+        for combo in _sets_touching_pool(pool, tables, size, deadline):
+            damaged = closed.copy()
+            for e in combo:
+                u, v = edges[e]
+                damaged[u] &= ~(1 << v)
+                damaged[v] &= ~(1 << u)
+            if survives(damaged, full):
+                continue
+            cover = pool.repair(damaged, full)
+            if cover is None:  # no one-vertex swap of a member works; ask the exact solver
+                cover = _cover_within(damaged, full, gamma, deadline)
+                if cover is None:
+                    return tuple(edges[e] for e in combo)
+            pool.add(_onto_last_twins(cover, damaged))
+        return None
+
+    top = min(k, len(edges))
+    witness = least_of_size(top)
+    if witness is None:  # no smaller bondage set either: it would extend to size top
+        return None
+    for size in range(1, top):
+        smaller = least_of_size(size)
+        if smaller is not None:
+            return smaller
+    return witness
 
 
 def bondage_number(graph: Graph, *, deadline: float | None = None) -> BondageResult:
     """Exact bondage number with a minimum witness.
 
-    Iterative deepening over subset sizes in one lexicographic scan of the
-    sorted edge list (``find_bondage_set_up_to``), so the witness is the
-    lexicographically least minimum bondage set.  The scan may run up to
-    every edge, and removing every edge raises gamma to the order, so a
-    graph with an edge always has one.  ``deadline`` is as in
-    ``find_bondage_set_up_to``.
+    ``find_bondage_set_up_to`` with k = |E|: removing every edge raises gamma
+    to the order, so the first scan, of the one set of every edge, meets a
+    bondage set on any graph with an edge.  The sizes from 1 up then follow,
+    each in one lexicographic scan of the sorted edge list, so the witness
+    is the lexicographically least minimum bondage set.  ``deadline`` is as
+    in ``find_bondage_set_up_to``.
     """
     edges = graph.edges()
     if not edges:

@@ -64,7 +64,8 @@ def _greedy_cover_size(closed: Sequence[int], full: int, deadline: float | None 
     while covered != full:
         if deadline is not None and scanned >= 1024:
             if time.monotonic() > deadline:
-                raise TimeBudgetExceeded(f"deadline hit after {count} greedy picks")
+                picks = "pick" if count == 1 else "picks"
+                raise TimeBudgetExceeded(f"deadline hit after {count} greedy {picks}")
             scanned = 0
         scanned += len(closed)
         best_gain, best = -1, 0

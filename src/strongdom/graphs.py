@@ -237,20 +237,21 @@ def strong_product(left: Graph, right: Graph) -> tuple[Graph, ProductIndexing]:
     return Graph(idx.order, tuple(rows)), idx
 
 
+def _cut_edges(graph: Graph, rows: list[int], removed: Iterable[tuple[int, int]]) -> list[int]:
+    """``rows``, rows of ``graph`` (open or closed), with the given edges'
+    bits cleared in place; rejects non-edges."""
+    for u, v in removed:
+        u, v = normalize_edge(u, v)
+        if not graph.has_edge(u, v):
+            raise ValueError(f"{u}-{v} is not an edge of the graph")
+        rows[u] &= ~(1 << v)
+        rows[v] &= ~(1 << u)
+    return rows
+
+
 def remove_edges(graph: Graph, removed: Iterable[tuple[int, int]]) -> Graph:
     """Copy of ``graph`` without the given edges; rejects non-edges."""
-    rows = list(graph.rows)
-    seen: set[Edge] = set()
-    for u, v in removed:
-        e = normalize_edge(u, v)
-        if not graph.has_edge(*e):
-            raise ValueError(f"{e[0]}-{e[1]} is not an edge of the graph")
-        if e in seen:
-            continue
-        seen.add(e)
-        rows[e[0]] &= ~(1 << e[1])
-        rows[e[1]] &= ~(1 << e[0])
-    return Graph(graph.order, tuple(rows))
+    return Graph(graph.order, tuple(_cut_edges(graph, list(graph.rows), removed)))
 
 
 class GraphTextError(ValueError):

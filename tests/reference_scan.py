@@ -8,7 +8,9 @@ then a one-vertex repair of a pool member, then the exact solver.  The twin
 classes and the mirror map are worked out here from the closed rows and the
 adjacency.  The package skips the sets that fail any of the first three
 tests in bulk, so its pool tests, solver calls and witnesses must equal
-this loop's.  Each cover moves onto the last
+this loop's.  The sizes are scanned in the package's order: the top size
+first, which alone refutes every smaller size when it holds no bondage set,
+then each smaller size in turn.  Each cover moves onto the last
 vertices of its twin classes before it joins the pool, as the package's
 does; the classes are those of the graph the cover dominates, grouped here
 from ``remove_edges(graph, B).closed_rows()``.  ``ReferencePool``
@@ -153,7 +155,8 @@ def reference_find_bondage_set_up_to(graph, max_size):
     bit = [1 << e for e in range(n_edges)]
     touch = pool.touch
     survives = pool.some_member_survives
-    for k in range(1, min(max_size, n_edges) + 1):
+
+    def least_of_size(k):
         for combo in combinations(range(n_edges), k):
             if not all(twin_prefix(combo[:i]) and mirror(combo[:i]) for i in range(1, k + 1)):
                 continue
@@ -171,4 +174,14 @@ def reference_find_bondage_set_up_to(graph, max_size):
                 if cover is None:
                     return tuple(edges[e] for e in combo)
             pool.add(_on_last_twins(cover, damaged))
-    return None
+        return None
+
+    top = min(max_size, n_edges)
+    witness = least_of_size(top)
+    if witness is None:
+        return None
+    for k in range(1, top):
+        smaller = least_of_size(k)
+        if smaller is not None:
+            return smaller
+    return witness

@@ -93,8 +93,11 @@ def test_is_bondage_set_basics():
     g = path_graph(4)
     assert not is_bondage_set(g, [])
     assert is_bondage_set(complete_graph(2), [(0, 1)])
-    with pytest.raises(ValueError):
-        is_bondage_set(g, [(0, 2)])
+    with pytest.raises(ValueError, match="^0-2 is not an edge of the graph$"):
+        is_bondage_set(g, [(2, 0)])
+    with pytest.raises(ValueError, match="^self-loop 1-1 is not an edge$"):
+        is_bondage_set(g, [(1, 1)])
+    assert not is_bondage_set(g, [(1, 2), (2, 1)])  # a repeated edge is cut once
 
     prod, _ = strong_product(complete_graph(2), path_graph(3))
     assert is_bondage_set(prod, [(1, 4)])
@@ -511,9 +514,36 @@ def test_no_edge_set_is_pool_tested_twice(m, n):
     assert len(set(tested)) == len(tested)
 
 
+@pytest.mark.parametrize(
+    "m, n, k, sizes",
+    [(6, 2, 5, [5]), (3, 4, 6, [6, 1, 2, 3, 4, 5])],
+    ids=["refuted", "found"],
+)
+def test_the_top_size_is_scanned_first(m, n, k, sizes):
+    # a bondage set extends to one of every larger size, so the top-size scan
+    # alone refutes km-pn(6,2) (b = 6) up to 5; on K_3 x P_4 (b = 5) it meets a
+    # 6-set, so the smaller sizes follow in turn and size 5 gives the witness
+    prod, _ = strong_product(complete_graph(m), path_graph(n))
+    scanned = []
+    scan = bondage._sets_touching_pool
+
+    def recorded(pool, tables, size, deadline):
+        scanned.append(size)
+        return scan(pool, tables, size, deadline)
+
+    with patch.object(bondage, "_sets_touching_pool", recorded):
+        witness = find_bondage_set_up_to(prod, k)
+    assert scanned == sizes
+    b = bondage_km_pn(m, n)
+    assert witness == (find_bondage_set_up_to(prod, b) if b <= k else None)
+    assert witness is None or len(witness) == b
+
+
 def test_deadline_fires_inside_a_long_refutation():
-    # km-pn(5,7) has b = 8; refuting sizes up to 7 reads the clock 262 times,
-    # and reads 27 to 262 are scan-step checks at size 7
+    # km-pn(5,7) has b = 8; refuting sizes up to 7 is one scan at size 7,
+    # which reads the clock 235 times: reads 1 to 3 are entry checks (the
+    # scan's, gamma's and the first member's cover), read 18 one solver
+    # call's, and the others scan-step checks
     prod, _ = strong_product(complete_graph(5), path_graph(7))
     with ticking_time() as clock:
         with pytest.raises(TimeBudgetExceeded, match=r"after \d+ scan steps at size 7$"):
@@ -522,9 +552,10 @@ def test_deadline_fires_inside_a_long_refutation():
 
 
 def test_deadline_fires_inside_the_scan_at_a_fixed_tick():
-    # km-pn(4,10) reads the clock 8 times to refute sizes up to 5; read 4 is
-    # the last entry check (the scan's, gamma's, the first member's cover and
-    # one solver call), and reads 5 to 8 are scan-step checks at size 5
+    # km-pn(4,10) reads the clock 8 times to refute sizes up to 5, in one scan
+    # at size 5; read 4 is the last entry check (the scan's, gamma's, the
+    # first member's cover and one solver call), and reads 5 to 8 are
+    # scan-step checks
     prod, _ = strong_product(complete_graph(4), path_graph(10))
     with ticking_time() as clock:
         with pytest.raises(TimeBudgetExceeded, match=r"after \d+ scan steps at size 5$"):

@@ -206,6 +206,15 @@ def test_deadline_stops_the_greedy_pass_between_picks():
     assert clock.ticks == 2
 
 
+def test_deadline_stops_the_greedy_pass_at_its_first_check():
+    # read 1, before the second pick, is already past the deadline
+    prod, _ = strong_product(complete_graph(2), path_graph(512))
+    with ticking_time() as clock:
+        with pytest.raises(TimeBudgetExceeded, match="^deadline hit after 1 greedy pick$"):
+            gamma_value(prod, deadline=0)
+    assert clock.ticks == 1
+
+
 def test_deadline_stops_the_cover_search_inside():
     # refuting a cover of size 9 on the 6 x 6 grid (gamma 10) reads the clock
     # 28 times: once on entry, then every 1,024 branching nodes
