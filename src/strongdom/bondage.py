@@ -23,10 +23,18 @@ The search keeps a pool of minimum dominating sets of the intact graph.  Any
 candidate edge set that leaves some pool member dominating cannot have raised
 the domination number.  Only an edge with exactly one endpoint in a member
 can break its domination; as a bit mask over edges, a member's touch mask is
-the XOR of its vertices' incident-edge masks.  So the scan visits only the
-sets that touch every member: the sets that miss one are skipped in bulk,
-as the last edges of each prefix are narrowed, as one bit mask, to the
-edges that touch every member the prefix misses, and a penultimate edge is
+the XOR of its vertices' incident-edge masks.  A member that only a set's
+last edge touches dominates G - B iff it dominates G less that edge, as the
+other edges leave every edge between it and the rest in place; so that edge
+breaks it iff it joins a member vertex d to an external private neighbour
+of d, a vertex outside the member whose only dominator in it is d
+(Bollobas and Cockayne, J. Graph Theory 3, 1979).  Those edges form the
+member's single-kill mask: its touch mask less the edges at the
+non-members that two member vertices dominate.  So the scan visits only
+the sets whose last edge breaks alone every member their other edges
+miss: the sets that fail are skipped in bulk, as the last edges of
+each prefix are narrowed, as one bit mask, to the edges in the single-kill
+mask of every member the rest of the set misses, and a penultimate edge is
 taken only when that mask has an edge above it.  For a visited set B the
 closed rows of G - B are built, and each member in turn is checked for
 domination on them: the OR of its vertices' rows must hold every vertex.
@@ -39,8 +47,17 @@ popping each next edge from a bit mask of the edges that keep the prefix
 touching a prefix of every twin class, and extends a prefix only while it
 is a leader itself.  The last two edges are taken in one loop: a prefix
 two edges short first drops in bulk the next edges that no admissible last
-edge touching every member it misses can complete, then pairs each edge
-left with its last edges, with no stack level for the last.
+edge breaking alone every member it misses can complete, then pairs each
+edge left with its last edges, with no stack level for the last.
+
+A size may be refuted before any scan.  A leader touches a vertex only
+after every earlier twin in its class, and k edges touch at most 2k
+vertices, so no leader of size k touches a vertex with 2k or more earlier
+twins.  When every vertex of the first member, placed on the last twins of
+its classes, lies that deep, no leader of size k touches it, let alone
+breaks it, and the size is refuted before the pool and the scan tables are
+built: on K_m x P_n with n = 0 (mod 3) and m >= 3 every size below b, and
+on K_12 (K_6 x P_2) every size up to 5.
 
 The pool grows lazily, as in the implicit hitting set loop of Chandrasekaran,
 Karp, Moreno-Centeno and Vempala (SODA 2011): it starts from one minimum
@@ -98,11 +115,18 @@ class _DominatingPool:
     ``i``: the XOR of its vertices' incident masks, in which an edge with
     both endpoints in the member cancels.  Only those removals can break its
     domination, so the scan yields only sets that meet every member's mask.
+    ``single[i]`` is the single-kill mask of member ``i``: the edges of
+    ``touch[i]`` whose removal alone breaks it.  Such an edge joins a member
+    vertex to a non-member that no other member vertex dominates, so the
+    mask is ``touch[i]`` less the edges at the non-members that two member
+    rows hold, found in one once/twice pass over the member's rows.  A
+    member that only a set's last edge touches survives unless that edge is
+    in its single-kill mask, so the scan asks it of such last edges.
     ``by_edge[e]``, a mask over member indices, holds the members whose
     touch mask holds ``e``.
     """
 
-    __slots__ = ("edges", "incident", "members", "touch", "by_edge")
+    __slots__ = ("edges", "incident", "rows", "members", "touch", "single", "by_edge")
 
     def __init__(self, graph: Graph, edges: Sequence[Edge]):
         self.edges = edges
@@ -110,20 +134,30 @@ class _DominatingPool:
         for e, (u, v) in enumerate(edges):
             self.incident[u] |= 1 << e
             self.incident[v] |= 1 << e
+        self.rows = graph.rows
         self.members: list[tuple[int, ...]] = []
         self.touch: list[int] = []
+        self.single: list[int] = []
         self.by_edge = [0] * len(edges)
 
     def add(self, dmask: int) -> None:
         member = tuple(iter_bits(dmask))
         bit = 1 << len(self.touch)
         touch = 0
+        once = twice = 0  # the vertices adjacent to at least one, two member vertices
         for v in member:
             touch ^= self.incident[v]
+            row = self.rows[v]
+            twice |= once & row
+            once |= row
+        single = touch
+        for w in iter_bits(twice & ~dmask):  # a removal at w leaves w another dominator
+            single &= ~self.incident[w]
         for e in iter_bits(touch):
             self.by_edge[e] |= bit
         self.members.append(member)
         self.touch.append(touch)
+        self.single.append(single)
 
     def some_member_survives(self, damaged: Sequence[int], full: int) -> bool:
         """True iff some member dominates the graph with closed rows
@@ -264,7 +298,11 @@ def _sets_touching_pool(
 ) -> Iterator[tuple[int, ...]]:
     """Yield each k-set of edge indices, in lexicographic order, every prefix
     P of which touches a prefix of every twin class and has ``g(P) >= P``,
-    and which touches every member the pool holds when the scan reaches it.
+    and which, for every member the pool holds when the scan reaches it,
+    touches it with its first k - 1 edges or breaks it with its last edge
+    alone (the member's single-kill mask, ``_DominatingPool``).  A member
+    that the set's other edges miss dominates G - B iff it dominates G less
+    the last edge, so every set this skips leaves a member dominating.
 
     A depth-first search grows each set edge by edge in increasing index.
     Each prefix keeps the vertices it touches, its admissible edges
@@ -281,21 +319,22 @@ def _sets_touching_pool(
 
     The last two edges are taken in one loop, with no stack level for the
     last.  A (k-2)-edge prefix keeps ``unhit``, the members it misses, and
-    pops each penultimate edge ``e`` that passes the mirror test.  A set
-    that misses a member leaves it dominating, so the last edge must touch
-    every member in ``unhit`` that ``e`` misses: ``need``, the AND of their
-    touch masks, memoised by the member mask for the whole call (a member's
-    touch mask never changes once added).  If ``need`` has no edge above
+    pops each penultimate edge ``e`` that passes the mirror test.  The last
+    edge is then the only one that can break a member in ``unhit`` that
+    ``e`` misses, so it must lie in ``need``, the AND of their single-kill
+    masks, memoised by the member mask for the whole call (a member's masks
+    never change once added).  If ``need`` has no edge above
     ``e``, ``e`` is passed over before its admissible edges are worked out;
     else each edge of ``need`` admissible after ``e`` that passes the
     mirror test is yielded as the last.  The pool grows only when the caller
-    adds a cover, at a yield, so then ``unhit`` and the rest of ``e``'s last
-    edges are narrowed by the new members the prefix misses.
+    adds a cover, at a yield, so then ``unhit`` grows by the new members the
+    prefix misses, and the rest of ``e``'s last edges are narrowed by the
+    single-kill masks of those that ``e`` misses too.
 
     Before that loop, the penultimate edges are filtered in bulk
     (``completable``).  An edge that touches no member in ``unhit`` leaves
-    the last edge to touch all of them, so that edge must lie in
-    ``common``, the AND of their touch masks, above ``e`` and admissible
+    the last edge to break all of them alone, so that edge must lie in
+    ``common``, the AND of their single-kill masks, above ``e`` and admissible
     after ``e``: its ``pres`` (``_scan_tables``) must lie in the vertices
     the prefix touches and the ends of ``e``.  Such an ``e`` is kept iff
     some edge of ``common`` allows it; an edge already admissible allows
@@ -311,18 +350,20 @@ def _sets_touching_pool(
     drops are never popped and do not count.  The deadline is checked at
     the first pushed or penultimate step after every 2,048 steps.  At size
     1 there is no penultimate edge: each admissible edge that passes the
-    mirror test and touches every member is yielded, and no step counts.
+    mirror test and lies in every member's single-kill mask is yielded, and
+    no step counts.
     """
     start, reach, opens, links, images, prev = tables
     edges = pool.edges
     incident = pool.incident
     touch = pool.touch
+    single = pool.single
     by_edge = pool.by_edge
-    if k == 1:  # no penultimate edge: every single edge that touches every member
+    if k == 1:  # no penultimate edge: every single edge that breaks every member alone
         for e in iter_bits(start):
             image = images[e]
             d = 1 << e ^ image
-            if not d & -d & image and by_edge[e] + 1 == 1 << len(touch):
+            if not d & -d & image and all(kill >> e & 1 for kill in single):
                 yield (e,)
         return
     n = len(edges)
@@ -334,7 +375,7 @@ def _sets_touching_pool(
     vmask = diff = fm = 0
     todo = start & room[0]
     j = 0  # edges in the prefix
-    needs: dict[int, int] = {}  # a mask of members -> the AND of their touch masks
+    needs: dict[int, int] = {}  # a mask of members -> the AND of their single-kill masks
     hits: dict[int, int] = {}  # a mask of members -> the OR of their touch masks
 
     def missed_by(part: list[int]) -> int:
@@ -346,7 +387,7 @@ def _sets_touching_pool(
     def needed(missed: int) -> int:
         need = -1
         for i in iter_bits(missed):
-            need &= touch[i]
+            need &= single[i]
         needs[missed] = need
         return need
 
@@ -418,7 +459,7 @@ def _sets_touching_pool(
                 if need is None:
                     need = needed(missed)
                 need = need >> e + 1 << e + 1
-                if not need:  # no last edge touches every member missed
+                if not need:  # no last edge breaks every member missed alone
                     continue
                 u, v = edges[e]
                 last, grown_reach = allowed, reach
@@ -442,7 +483,7 @@ def _sets_touching_pool(
                         pooled = len(touch)
                         unhit |= new
                         for i in iter_bits(new & ~by_edge[e]):
-                            last &= touch[i]
+                            last &= single[i]
         elif todo:
             low = todo & -todo
             todo ^= low
@@ -491,6 +532,15 @@ def find_bondage_set_up_to(
     top-size one) is the witness.  With k = |E| (``bondage_number``), the
     first scan is of the one set of every edge.
 
+    The top size is refuted with no scan when the first member is out of
+    reach.  A leader touches a vertex only after every earlier twin in its
+    class, and ``top`` edges touch at most ``2 * top`` vertices, so no
+    leader of size ``top`` touches a vertex with ``2 * top`` or more earlier
+    twins.  If every vertex of the first member, on the last twins of its
+    classes, has that many, every set of size ``top`` misses the member,
+    which then still dominates, and None is returned before the pool and
+    the scan tables are built.
+
     Each size is scanned in lexicographic order of edge indices, over the
     leaders (``_sets_touching_pool``): the sets every prefix P of which
     touches a prefix of every closed-twin class and has ``g(P) >= P`` for
@@ -509,9 +559,10 @@ def find_bondage_set_up_to(
     the least of its class, the first bondage set a scan meets is the least
     of its size.
 
-    The scan skips in bulk the sets that miss some pool member, which still
-    dominates after such a removal, so only the sets that touch every member
-    are visited.  Each visited set B gets the closed rows of G - B, on which
+    The scan skips in bulk the sets that leave some pool member dominating
+    by the pool's masks alone: those that miss a member, and those whose
+    other edges miss a member that the last edge does not break alone
+    (``_DominatingPool``'s single-kill masks).  Each visited set B gets the closed rows of G - B, on which
     ``_DominatingPool.some_member_survives`` checks each member for
     domination.  The pool only filters.  A set B that kills every member
     first gets ``_DominatingPool.repair`` on the same rows: a member with
@@ -542,9 +593,14 @@ def find_bondage_set_up_to(
     full = graph.full_mask
     if gamma is None:
         gamma = gamma_value(graph, deadline=deadline)
+    first = _onto_last_twins(_cover_within(closed, full, gamma, deadline), closed)
+    top = min(k, len(edges))
+    # no leader of size top reaches a vertex with 2 * top earlier twins
+    if all(closed[:v].count(closed[v]) >= 2 * top for v in iter_bits(first)):
+        return None
     pool = _DominatingPool(graph, edges)
     tables = _scan_tables(closed, edges, pool.incident)
-    pool.add(_onto_last_twins(_cover_within(closed, full, gamma, deadline), closed))
+    pool.add(first)
     survives = pool.some_member_survives
 
     def least_of_size(size: int) -> tuple[Edge, ...] | None:
@@ -564,7 +620,6 @@ def find_bondage_set_up_to(
             pool.add(_onto_last_twins(cover, damaged))
         return None
 
-    top = min(k, len(edges))
     witness = least_of_size(top)
     if witness is None:  # no smaller bondage set either: it would extend to size top
         return None

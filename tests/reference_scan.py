@@ -3,22 +3,25 @@
 The same scan as the package's, written as one loop turn per candidate edge
 set: every k-set of edge indices is built in full, in ``combinations`` order,
 and put through the twin-prefix test and the mirror test on each of its
-prefixes, then a test that it touches every pool member, then the pool test,
-then a one-vertex repair of a pool member, then the exact solver.  The twin
-classes and the mirror map are worked out here from the closed rows and the
-adjacency.  The package skips the sets that fail any of the first three
-tests in bulk, so its pool tests, solver calls and witnesses must equal
-this loop's.  The sizes are scanned in the package's order: the top size
-first, which alone refutes every smaller size when it holds no bondage set,
-then each smaller size in turn.  Each cover moves onto the last
-vertices of its twin classes before it joins the pool, as the package's
-does; the classes are those of the graph the cover dominates, grouped here
-from ``remove_edges(graph, B).closed_rows()``.  ``ReferencePool``
-shares no code with the package's pool: it builds each member's touch mask
-edge by edge and runs the pool test as a domination check of every member on
-the damaged graph that ``remove_edges`` builds, so the package's incident-mask
-XOR, per-edge member masks and damaged closed rows are all checked against
-it.  Its ``repair`` tries
+prefixes, then a test that each pool member is touched by the set's other
+edges or stops dominating the graph less the set's last edge alone (a
+member the other edges miss survives unless that edge breaks it), then the
+pool test, then a one-vertex repair of a pool member, then the exact
+solver.  The twin classes and the mirror map are worked out here from the
+closed rows and the adjacency.  The package skips the sets that fail any of
+the first three tests in bulk, so its pool tests, solver calls and
+witnesses must equal this loop's.  The sizes are scanned in the package's
+order: the top size first, which alone refutes every smaller size when it
+holds no bondage set, then each smaller size in turn.  Each cover moves
+onto the last vertices of its twin classes before it joins the pool, as the
+package's does; the classes are those of the graph the cover dominates,
+grouped here from ``remove_edges(graph, B).closed_rows()``.
+``ReferencePool`` shares no code with the package's pool: it builds each
+member's touch mask edge by edge, finds the edges that break a member alone by a domination
+check on the graph less each edge, and runs the pool test as a domination
+check of every member on the damaged graph that ``remove_edges`` builds, so
+the package's incident-mask XOR, single-kill masks, per-edge member masks
+and damaged closed rows are all checked against it.  Its ``repair`` tries
 every swap of one member vertex for any vertex of the graph, in the
 package's order, with a domination check on the damaged graph.
 """
@@ -33,14 +36,17 @@ from strongdom.graphs import remove_edges
 
 class ReferencePool:
     """A pool kept apart from the package's: member masks, each member's touch
-    mask by the per-edge "exactly one endpoint in the member" test, and the
-    pool test as a domination check of each member on the damaged graph."""
+    mask by the per-edge "exactly one endpoint in the member" test, its
+    single-kill mask by a domination check of the member on the graph less
+    each edge in turn, and the pool test as a domination check of each member
+    on the damaged graph."""
 
     def __init__(self, graph, edges):
         self.graph = graph
         self.edges = edges
         self.members = []
         self.touch = []
+        self.single = []
 
     def add(self, dmask):
         self.members.append(dmask)
@@ -51,6 +57,23 @@ class ReferencePool:
                 if (dmask >> u & 1) != (dmask >> v & 1)
             )
         )
+        vertices = [v for v in range(self.graph.order) if dmask >> v & 1]
+        self.single.append(
+            sum(
+                1 << e
+                for e, edge in enumerate(self.edges)
+                if not is_dominating(remove_edges(self.graph, [edge]), vertices)
+            )
+        )
+
+    def breaks_alone(self, zedges):
+        """True iff every member is touched by the edges ``zedges[:-1]`` or
+        stops dominating once the last edge alone is removed: a member the
+        other edges miss dominates the damaged graph iff it dominates the
+        graph less the last edge."""
+        prefix = sum(1 << e for e in zedges[:-1])
+        last = zedges[-1]
+        return all(t & prefix or s >> last & 1 for t, s in zip(self.touch, self.single))
 
     def some_member_survives(self, zedges):
         damaged = remove_edges(self.graph, [self.edges[e] for e in zedges])
@@ -152,18 +175,14 @@ def reference_find_bondage_set_up_to(graph, max_size):
     pool = ReferencePool(graph, edges)
     pool.add(_on_last_twins(_cover_within(closed, full, gamma), graph))
     n_edges = len(edges)
-    bit = [1 << e for e in range(n_edges)]
-    touch = pool.touch
+    breaks_alone = pool.breaks_alone
     survives = pool.some_member_survives
 
     def least_of_size(k):
         for combo in combinations(range(n_edges), k):
             if not all(twin_prefix(combo[:i]) and mirror(combo[:i]) for i in range(1, k + 1)):
                 continue
-            zmask = 0
-            for e in combo:
-                zmask |= bit[e]
-            if not all(zmask & t for t in touch):
+            if not breaks_alone(combo):
                 continue
             if survives(combo):
                 continue

@@ -1,4 +1,5 @@
 import time
+from functools import cache
 from itertools import combinations
 from unittest.mock import patch
 
@@ -26,7 +27,12 @@ from strongdom.graphs import (
     strong_product,
 )
 
-from brute import brute_bondage, brute_first_bondage_witness, brute_gamma
+from brute import (
+    brute_bondage,
+    brute_first_bondage_witness,
+    brute_gamma,
+    brute_min_dominating_sets,
+)
 import reference_scan
 from reference_scan import (
     ReferencePool,
@@ -227,6 +233,7 @@ def test_member_masks_match_per_member_pool_test(pooled, data):
         pool.add(dmask)
         reference.add(dmask)
     assert pool.touch == reference.touch
+    assert pool.single == reference.single
     # every candidate touches every member, as each set the scan yields does,
     # so no member survives untouched and the damaged rows decide
     hits = st.tuples(*(st.sampled_from(list(iter_bits(t))) for t in reference.touch if t))
@@ -354,9 +361,10 @@ def test_km_pn_first_admissible_edges_are_one_per_column_pair():
 
 def test_frontier_refutation_of_k12():
     # K_6 x P_2 is K_12, whose edges form one orbit: b = 6, refuted at 5.  It
-    # is one twin class, so the first member moves to vertex 11, which no
-    # leader of at most 5 edges touches: the solver runs once, for that
-    # member, and no set is pool tested
+    # is one twin class, so the first member moves to vertex 11, behind 11
+    # twins, and 5 edges touch at most 10 vertices: no leader reaches it.
+    # The solver runs once, for that member, and the size is refuted before
+    # a pool is built (no member joins one) or a set is scanned
     prod, _ = strong_product(complete_graph(6), path_graph(2))
     solver = []
     cover_within = bondage._cover_within
@@ -369,23 +377,53 @@ def test_frontier_refutation_of_k12():
         witness, log = _recorded_scan(find_bondage_set_up_to, prod, 5)
     assert witness is None
     assert len(solver) == 1
-    assert log == [1 << 11]
+    assert log == []
 
 
-def _brute_sets_touching(graph, touches, k):
+@pytest.mark.parametrize("n", [3, 6, 9])
+@pytest.mark.parametrize("m", [3, 4, 5, 6])
+def test_a_first_member_out_of_reach_refutes_without_a_scan(m, n):
+    # at n = 0 (mod 3) the first member sits on the last of its columns' m
+    # twins, and b - 1 = ceil(m/2) - 1 edges touch at most m - 1 vertices
+    prod, _ = strong_product(complete_graph(m), path_graph(n))
+    with patch.object(bondage, "_sets_touching_pool", side_effect=AssertionError):
+        assert find_bondage_set_up_to(prod, bondage_km_pn(m, n) - 1) is None
+
+
+def test_a_first_member_in_reach_is_scanned():
+    # 6 edges of K_12 reach its vertex 11, so the scan runs and meets b = 6
+    prod, _ = strong_product(complete_graph(6), path_graph(2))
+    witness = find_bondage_set_up_to(prod, 6)
+    assert witness == bondage_number(prod).witness
+    assert len(witness) == 6
+
+
+def _brute_sets_touching(graph, members, k):
     """Every k-set of edge indices, in ``combinations`` order, every prefix
     of which passes the twin-prefix and mirror tests of ``reference_scan``,
-    and which meets every edge mask in ``touches``.  Only prefixes that pass
+    and for which each vertex mask in ``members`` is touched (an edge with
+    one endpoint in it) by the set's k - 1 smallest edges, or fails to
+    dominate the graph less the set's largest edge.  Only prefixes that pass
     are extended."""
-    n_edges = len(graph.edges())
-    twin_prefix = _twin_prefix_test(graph, graph.edges())
-    mirror = _mirror_prefix_test(graph, graph.edges())
+    edges = graph.edges()
+    n_edges = len(edges)
+    twin_prefix = _twin_prefix_test(graph, edges)
+    mirror = _mirror_prefix_test(graph, edges)
+    held = [list(iter_bits(d)) for d in members]
     found = []
+
+    @cache
+    def broken_alone(e):
+        damaged = remove_edges(graph, [edges[e]])
+        return [not domination.is_dominating(damaged, vertices) for vertices in held]
 
     def grow(combo):
         if len(combo) == k:
-            mask = sum(1 << e for e in combo)
-            if all(mask & touch for touch in touches):
+            others = [edges[e] for e in combo[:-1]]
+            if all(
+                any((d >> u & 1) != (d >> v & 1) for u, v in others) or broken
+                for d, broken in zip(members, broken_alone(combo[-1]))
+            ):
                 found.append(combo)
             return
         for e in range(combo[-1] + 1 if combo else 0, n_edges):
@@ -410,7 +448,7 @@ def _assert_scan_is_brute_force(graph, members, sizes):
     tables = _scan_tables(closed, edges, pool.incident)
     for k in sizes:
         scanned = list(bondage._sets_touching_pool(pool, tables, k, None))
-        assert scanned == _brute_sets_touching(graph, pool.touch, k), k
+        assert scanned == _brute_sets_touching(graph, members, k), k
 
 
 @pytest.mark.parametrize("m, n", [(6, 2), (3, 5)])
@@ -440,6 +478,28 @@ def test_depth_first_scan_matches_brute_force_filter_on_planted_twins(g):
 def test_scan_meets_every_member_of_a_damaged_pool(pooled):
     g, members = pooled
     _assert_scan_is_brute_force(g, members, range(1, min(4, len(g.edges())) + 1))
+
+
+@given(damaged_pools())
+@settings(max_examples=40, deadline=None)
+def test_every_bondage_set_among_the_leaders_is_scanned(pooled):
+    # each member is a minimum dominating set of the graph, so a bondage set
+    # breaks every one, and the scan may drop only sets that leave one
+    # dominating; bondage sets are found here by trying every minimum
+    # dominating set on the damaged graph
+    g, members = pooled
+    edges = g.edges()
+    pool = _DominatingPool(g, edges)
+    for dmask in members:
+        pool.add(dmask)
+    tables = _scan_tables(g.closed_rows(), edges, pool.incident)
+    minimum = brute_min_dominating_sets(g)
+    for k in range(1, min(4, len(edges)) + 1):
+        scanned = set(bondage._sets_touching_pool(pool, tables, k, None))
+        for combo in _brute_sets_touching(g, [], k):  # every leader of size k
+            damaged = remove_edges(g, [edges[e] for e in combo])
+            if not any(domination.is_dominating(damaged, d) for d in minimum):
+                assert combo in scanned
 
 
 def _recorded_scan(search, graph, size):
@@ -516,13 +576,15 @@ def test_no_edge_set_is_pool_tested_twice(m, n):
 
 @pytest.mark.parametrize(
     "m, n, k, sizes",
-    [(6, 2, 5, [5]), (3, 4, 6, [6, 1, 2, 3, 4, 5])],
-    ids=["refuted", "found"],
+    [(6, 2, 5, []), (3, 4, 6, [6, 1, 2, 3, 4, 5]), (3, 10, 4, [4])],
+    ids=["refuted", "found", "refuted-by-scan"],
 )
 def test_the_top_size_is_scanned_first(m, n, k, sizes):
     # a bondage set extends to one of every larger size, so the top-size scan
-    # alone refutes km-pn(6,2) (b = 6) up to 5; on K_3 x P_4 (b = 5) it meets a
-    # 6-set, so the smaller sizes follow in turn and size 5 gives the witness
+    # alone refutes km-pn(3,10) (b = 5) up to 4; km-pn(6,2) (b = 6) needs no
+    # scan up to 5, as no leader of 5 edges reaches its first member; on
+    # K_3 x P_4 (b = 5) the scan meets a 6-set, so the smaller sizes follow in
+    # turn and size 5 gives the witness
     prod, _ = strong_product(complete_graph(m), path_graph(n))
     scanned = []
     scan = bondage._sets_touching_pool
@@ -541,8 +603,8 @@ def test_the_top_size_is_scanned_first(m, n, k, sizes):
 
 def test_deadline_fires_inside_a_long_refutation():
     # km-pn(5,7) has b = 8; refuting sizes up to 7 is one scan at size 7,
-    # which reads the clock 235 times: reads 1 to 3 are entry checks (the
-    # scan's, gamma's and the first member's cover), read 18 one solver
+    # which reads the clock 212 times: reads 1 to 3 are entry checks (the
+    # scan's, gamma's and the first member's cover), read 15 one solver
     # call's, and the others scan-step checks
     prod, _ = strong_product(complete_graph(5), path_graph(7))
     with ticking_time() as clock:
